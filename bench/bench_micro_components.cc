@@ -242,9 +242,26 @@ void BenchRewrite() {
   if (pivots.empty()) return;
   RunBench("rewrite", 0, [&] {
     Sequence rewritten =
-        RewriteForPivot(db.sequences[idx], grid, pivots.front());
+        PivotRewriter(db.sequences[idx], grid).Rewrite(pivots.front());
     volatile size_t sink = rewritten.size();
     (void)sink;
+  });
+}
+
+void BenchRewriteAllPivots() {
+  // The map step's per-sequence rewrite: one PivotRewriter and ρk(T) for
+  // every pivot k of the sequence.
+  const SequenceDatabase& db = Corpus();
+  std::vector<StateGrid> grids = BuildGrids(64);
+  size_t i = 0;
+  RunBench("rewrite_all_pivots", 0, [&] {
+    size_t g = i % grids.size();
+    PivotRewriter rewriter(db.sequences[g], grids[g]);
+    size_t kept = 0;
+    for (ItemId k : rewriter.pivots()) kept += rewriter.Rewrite(k).size();
+    volatile size_t sink = kept;
+    (void)sink;
+    ++i;
   });
 }
 
@@ -474,6 +491,7 @@ int main(int argc, char** argv) {
   BenchPivotSearch();
   BenchPivotDp();
   BenchRewrite();
+  BenchRewriteAllPivots();
   BenchNfaMinimizeAndSerialize();
   BenchNfaDeserialize();
   BenchVarintSequenceRoundTrip();

@@ -223,6 +223,12 @@ std::vector<PivotSet> ComputeBackwardPivots(const StateGrid& grid);
 /// ascending. Assumes the grid was built with the desired σ pruning.
 Sequence FindPivotItems(const StateGrid& grid);
 
+/// K(T) read off an already computed forward table `fwd` of `grid` (the
+/// union of K(n,f) over the live final states f). FindPivotItems is this
+/// over a fresh ComputeForwardPivots(grid).
+Sequence PivotItemsFromForward(const StateGrid& grid,
+                               const std::vector<PivotSet>& fwd);
+
 /// Ablation variant (Fig. 10a, "no grid"): enumerates accepting runs by raw
 /// DFS over the FST (exploring dead ends, no memoization) and folds ⊕ per
 /// run. Infrequent items (doc freq < sigma) are pruned from output sets when

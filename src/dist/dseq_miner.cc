@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "src/util/check.h"
 #include "src/util/thread_pool.h"
 
 namespace dseq {
@@ -23,90 +24,103 @@ namespace dseq {
 // forward-reachable at the cut must have an ε-only completion in T
 // (otherwise the trimmed sequence would accept a candidate T does not).
 //
-// "Lies on a run producing a pivot-k candidate" is decided with the pivot
-// DPs: the pivots of all candidates of runs through edge e at layer i are
-// K(i, e.from) ⊕ out(e) ⊕ B(i+1, e.to), because ⊕ distributes over the
-// per-coordinate unions the DP tables take.
+// The pivots of all candidates of runs through edge e at layer i are
+// P(e) = K(i, e.from) ⊕ out(e) ⊕ B(i+1, e.to), because ⊕ distributes over
+// the per-coordinate unions the DP tables take. None of this depends on k,
+// so the constructor makes one pass over the grid, computes every P(e) once
+// and records, for the n layers of the grid:
+//   idle_end        first layer without an initial ε self-loop (n if none);
+//   open            last layer whose cut-layer acceptance check fails;
+//   first(j)        first layer with j ∈ P(e) for an edge e other than the
+//                   initial ε self-loop (n if none);
+//   last(j)         last layer with j ∈ P(e) for an edge e other than a
+//                   final ε self-loop;
+// for every pivot j of K(T) (P(e) ⊆ K(T)). With "last" = -1 when absent:
+//   lead(k)         = min(idle_end, first(k))
+//   last_unsafe(k)  = max(open, last(k))
+//   cut(k)          = min(n, max(lead(k) + 1, last_unsafe(k) + 1))
+//   ρk(T)           = T[lead(k), cut(k))
+// The trailing trim stops at lead + 1, so unsafe layers at or below the lead
+// do not matter. lead(k) = n only happens for k ∉ K(T) (a pivot-k run has a
+// non-idling edge producing k); the clamp then keeps nothing. Items that
+// are not pivots take first = n and last = -1. The code keeps last + 1 in
+// unsigned "end" variables, 0 standing for -1.
 
-PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
-    : T_(T), grid_(grid) {
-  if (!grid.HasAcceptingRun()) return;
-  fwd_ = ComputeForwardPivots(grid);
-  bwd_ = ComputeBackwardPivots(grid);
-  eps_accept_ = grid.ComputeEpsAcceptTable();
+namespace {
+
+// The trim for a lead and one past the last unsafe layer, over n layers.
+size_t CutFor(size_t lead, size_t unsafe_end, size_t n) {
+  return std::min(n, std::max(lead + 1, unsafe_end));
 }
 
-bool PivotRewriter::EdgeProducesPivot(size_t layer,
-                                      const StateGrid::Edge& edge,
-                                      ItemId pivot) const {
-  size_t ns = grid_.num_states();
-  PivotSet through = fwd_[layer * ns + edge.from];
-  if (through.IsEmpty()) return false;
-  if (!edge.out.empty()) {
-    through = PivotMerge(through, PivotSet::Items(edge.out));
+}  // namespace
+
+PivotRewriter::PivotRewriter(const Sequence& T, const StateGrid& grid)
+    : T_(T), default_trim_{0, T.size()} {
+  if (!grid.HasAcceptingRun()) return;
+  size_t n = grid.length();
+  size_t ns = grid.num_states();
+  StateId initial = grid.initial_state();
+  std::vector<PivotSet> fwd = ComputeForwardPivots(grid);
+  std::vector<PivotSet> bwd = ComputeBackwardPivots(grid);
+  std::vector<uint8_t> eps_accept = grid.ComputeEpsAcceptTable();
+  pivots_ = PivotItemsFromForward(grid, fwd);
+
+  size_t idle_end = n;
+  size_t open_end = 0;
+  std::vector<size_t> first(pivots_.size(), n);
+  std::vector<size_t> last_end(pivots_.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    bool idles = false;
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      bool initial_loop =
+          e.from == initial && e.to == initial && e.out.empty();
+      bool final_loop =
+          e.from == e.to && e.out.empty() && grid.IsFinalState(e.from);
+      idles = idles || initial_loop;
+      const PivotSet& head = fwd[i * ns + e.from];
+      if (head.IsEmpty()) continue;
+      const PivotSet& tail = bwd[(i + 1) * ns + e.to];
+      PivotSet through =
+          e.out.empty()
+              ? PivotMerge(head, tail)
+              : PivotMerge(PivotMerge(head, PivotSet::Items(e.out)), tail);
+      auto it = pivots_.begin();
+      for (ItemId w : through.items) {
+        it = std::lower_bound(it, pivots_.end(), w);
+        DSEQ_DCHECK(it != pivots_.end() && *it == w);
+        size_t j = static_cast<size_t>(it - pivots_.begin());
+        if (!initial_loop) first[j] = std::min(first[j], i);
+        if (!final_loop) last_end[j] = i + 1;
+      }
+    }
+    if (!idles) idle_end = std::min(idle_end, i);
+    // Cut-layer acceptance check: a run of the trimmed sequence ends in any
+    // forward-reachable final state at layer i; its candidate is one of T's
+    // only if T can finish from there without further output.
+    for (StateId q = 0; q < ns; ++q) {
+      if (!grid.IsFinalState(q) || !grid.ForwardActive(i, q)) continue;
+      if (!grid.Alive(i, q) || !eps_accept[i * ns + q]) {
+        open_end = i + 1;
+        break;
+      }
+    }
   }
-  through = PivotMerge(through, bwd_[(layer + 1) * ns + edge.to]);
-  return std::binary_search(through.items.begin(), through.items.end(),
-                            pivot);
+
+  default_trim_ = {idle_end, CutFor(idle_end, open_end, n)};
+  trims_.reserve(pivots_.size());
+  for (size_t j = 0; j < pivots_.size(); ++j) {
+    size_t lead = std::min(idle_end, first[j]);
+    trims_.push_back({lead, CutFor(lead, std::max(open_end, last_end[j]), n)});
+  }
 }
 
 Sequence PivotRewriter::Rewrite(ItemId pivot) const {
-  size_t n = grid_.length();
-  if (!grid_.HasAcceptingRun() || n == 0) return T_;
-  size_t ns = grid_.num_states();
-  StateId initial = grid_.initial_state();
-
-  // Leading trim.
-  size_t lead = 0;
-  while (lead < n) {
-    bool has_initial_self_loop = false;
-    bool safe = true;
-    for (const StateGrid::Edge& e : grid_.EdgesAt(lead)) {
-      if (e.from == initial && e.to == initial && e.out.empty()) {
-        has_initial_self_loop = true;
-        continue;
-      }
-      if (EdgeProducesPivot(lead, e, pivot)) {
-        safe = false;
-        break;
-      }
-    }
-    if (!safe || !has_initial_self_loop) break;
-    ++lead;
-  }
-
-  // Trailing trim: keep T[lead..cut).
-  size_t cut = n;
-  while (cut > lead + 1) {
-    size_t layer = cut - 1;
-    bool safe = true;
-    for (const StateGrid::Edge& e : grid_.EdgesAt(layer)) {
-      bool final_self_loop =
-          e.from == e.to && e.out.empty() && grid_.IsFinalState(e.from);
-      if (!final_self_loop && EdgeProducesPivot(layer, e, pivot)) {
-        safe = false;
-        break;
-      }
-    }
-    if (!safe) break;
-    // Cut-layer acceptance check: a run of the trimmed sequence ends in any
-    // forward-reachable final state at `layer`; its candidate is one of T's
-    // only if T can finish from there without further output.
-    for (StateId q = 0; q < ns && safe; ++q) {
-      if (!grid_.IsFinalState(q) || !grid_.ForwardActive(layer, q)) continue;
-      if (!grid_.Alive(layer, q) || !eps_accept_[layer * ns + q]) safe = false;
-    }
-    if (!safe) break;
-    --cut;
-  }
-
-  if (lead == 0 && cut == n) return T_;
-  return Sequence(T_.begin() + lead, T_.begin() + cut);
-}
-
-Sequence RewriteForPivot(const Sequence& T, const StateGrid& grid,
-                         ItemId pivot) {
-  return PivotRewriter(T, grid).Rewrite(pivot);
+  Trim trim = default_trim_;
+  auto it = std::lower_bound(pivots_.begin(), pivots_.end(), pivot);
+  if (it != pivots_.end() && *it == pivot) trim = trims_[it - pivots_.begin()];
+  if (trim.lead == 0 && trim.cut == T_.size()) return T_;
+  return Sequence(T_.begin() + trim.lead, T_.begin() + trim.cut);
 }
 
 // --- The miner -------------------------------------------------------------
@@ -133,10 +147,18 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
         cached_db != nullptr ? cached_db->Read(index) : db[index];
     StateGrid grid;
     Sequence pivots;
+    // The rewriter finds K(T) on the way; without it (the Fig. 10a "no
+    // rewriting" ablation must not pay for its DPs) the pivot search runs
+    // on its own.
+    std::optional<PivotRewriter> rewriter;
     if (options.use_grid) {
       grid = StateGrid::Build(T, fst, dict, grid_options);
       if (!grid.HasAcceptingRun()) return;
-      pivots = FindPivotItems(grid);
+      if (options.rewrite) {
+        rewriter.emplace(T, grid);
+      } else {
+        pivots = FindPivotItems(grid);
+      }
     } else {
       if (!FindPivotItemsNoGrid(T, fst, dict, options.sigma,
                                 options.nogrid_step_budget, &pivots)) {
@@ -144,14 +166,9 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
             "D-SEQ no-grid pivot search exceeded its step budget");
       }
     }
-    if (pivots.empty()) return;
 
-    // Only pay for the rewriting DPs when rewriting is on — the Fig. 10a
-    // "no rewriting" ablation must not include their cost in map time.
-    std::optional<PivotRewriter> rewriter;
-    if (options.rewrite && options.use_grid) rewriter.emplace(T, grid);
     std::string value;
-    for (ItemId k : pivots) {
+    for (ItemId k : rewriter ? rewriter->pivots() : pivots) {
       value.clear();
       if (options.aggregate_sequences) PutVarint(&value, 1);
       PutSequence(&value, rewriter ? rewriter->Rewrite(k) : T);

@@ -53,12 +53,17 @@ struct DSeqOptions : DistributedRunOptions {
   uint64_t nogrid_step_budget = 1'000'000'000;
 };
 
-/// Per-grid rewriter: precomputes the forward/backward pivot DPs and the
-/// ε-acceptance table once, then rewrites for any number of pivots. Used by
-/// the D-SEQ map phase (one sequence, many pivots).
+/// Per-grid rewriter (paper Sec. V-B). The constructor does all
+/// pivot-independent work in one pass over the grid and stores the trim of
+/// every pivot of T; Rewrite(k) is then a lookup. Used by the D-SEQ map
+/// phase (one sequence, many pivots).
 class PivotRewriter {
  public:
   PivotRewriter(const Sequence& T, const StateGrid& grid);
+
+  /// K(T), sorted ascending; equal to FindPivotItems(grid), read off the
+  /// forward table the rewriter builds anyway.
+  const Sequence& pivots() const { return pivots_; }
 
   /// ρk(T): T with irrelevant leading/trailing positions removed, such that
   /// the pivot-k candidate subsequences of the rewritten sequence are
@@ -66,19 +71,17 @@ class PivotRewriter {
   Sequence Rewrite(ItemId pivot) const;
 
  private:
-  bool EdgeProducesPivot(size_t layer, const StateGrid::Edge& edge,
-                         ItemId pivot) const;
+  // ρk(T) = T[lead, cut).
+  struct Trim {
+    size_t lead;
+    size_t cut;
+  };
 
   const Sequence& T_;
-  const StateGrid& grid_;
-  std::vector<PivotSet> fwd_;
-  std::vector<PivotSet> bwd_;
-  std::vector<uint8_t> eps_accept_;
+  Sequence pivots_;
+  std::vector<Trim> trims_;  // parallel to pivots_
+  Trim default_trim_;        // for items that are not pivots
 };
-
-/// One-shot convenience wrapper around PivotRewriter.
-Sequence RewriteForPivot(const Sequence& T, const StateGrid& grid,
-                         ItemId pivot);
 
 /// Runs D-SEQ. `db` must be fid-recoded with `dict`'s frequencies (the state
 /// SequenceDatabase::Recode leaves behind).

@@ -1,6 +1,8 @@
 #include "src/patex/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <string>
 #include <vector>
 
 namespace dseq {
@@ -16,7 +18,8 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   std::unique_ptr<PatEx> Parse() {
-    auto expr = ParseAlt();
+    int height = 0;
+    auto expr = ParseAlt(&height);
     SkipSpace();
     if (pos_ != text_.size()) {
       throw PatexParseError("unexpected trailing input", pos_);
@@ -49,22 +52,38 @@ class Parser {
     ++pos_;
   }
 
-  std::unique_ptr<PatEx> ParseAlt() {
+  // Counts one more nesting level in `*height`.
+  void Nest(int* height) {
+    if (++*height > kMaxPatexNesting) {
+      throw PatexParseError("pattern nested deeper than " +
+                                std::to_string(kMaxPatexNesting) + " levels",
+                            pos_);
+    }
+  }
+
+  // Each Parse* below sets `*height` to the nesting levels of what it
+  // parsed, so suffix chains count as well as brackets.
+  std::unique_ptr<PatEx> ParseAlt(int* height) {
     std::vector<std::unique_ptr<PatEx>> alts;
-    alts.push_back(ParseConcat());
+    alts.push_back(ParseConcat(height));
     while (Peek() == '|') {
       ++pos_;
-      alts.push_back(ParseConcat());
+      int alt_height = 0;
+      alts.push_back(ParseConcat(&alt_height));
+      *height = std::max(*height, alt_height);
     }
     return PatEx::Alt(std::move(alts));
   }
 
-  std::unique_ptr<PatEx> ParseConcat() {
+  std::unique_ptr<PatEx> ParseConcat(int* height) {
     std::vector<std::unique_ptr<PatEx>> parts;
+    *height = 0;
     while (true) {
       char c = Peek();
       if (c == '\0' || c == '|' || c == ']' || c == ')') break;
-      parts.push_back(ParseUnary());
+      int part_height = 0;
+      parts.push_back(ParseUnary(&part_height));
+      *height = std::max(*height, part_height);
     }
     if (parts.empty()) {
       throw PatexParseError("empty expression", pos_);
@@ -72,10 +91,11 @@ class Parser {
     return PatEx::Concat(std::move(parts));
   }
 
-  std::unique_ptr<PatEx> ParseUnary() {
-    auto atom = ParseAtom();
+  std::unique_ptr<PatEx> ParseUnary(int* height) {
+    auto atom = ParseAtom(height);
     while (true) {
       char c = Peek();
+      if (c == '*' || c == '+' || c == '?' || c == '{') Nest(height);
       if (c == '*') {
         ++pos_;
         atom = PatEx::Repeat(std::move(atom), 0, -1);
@@ -138,19 +158,20 @@ class Parser {
     return static_cast<int>(value);
   }
 
-  std::unique_ptr<PatEx> ParseAtom() {
+  std::unique_ptr<PatEx> ParseAtom(int* height) {
     char c = Peek();
-    if (c == '[') {
+    *height = 0;
+    if (c == '[' || c == '(') {
+      // The bracket's own level is counted before descending, so the
+      // parser's recursion is bounded too.
+      Nest(&open_);
       ++pos_;
-      auto inner = ParseAlt();
-      Expect(']');
+      auto inner = ParseAlt(height);
+      Expect(c == '[' ? ']' : ')');
+      --open_;
+      Nest(height);
+      if (c == '(') inner = PatEx::Capture(std::move(inner));
       return inner;
-    }
-    if (c == '(') {
-      ++pos_;
-      auto inner = ParseAlt();
-      Expect(')');
-      return PatEx::Capture(std::move(inner));
     }
     if (c == '.') {
       ++pos_;
@@ -197,6 +218,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int open_ = 0;  // brackets and parentheses open at pos_
 };
 
 }  // namespace

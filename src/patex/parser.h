@@ -35,7 +35,15 @@ class PatexParseError : public std::runtime_error {
   size_t position_;
 };
 
-/// Parses `text` into a pattern expression AST. Throws PatexParseError.
+/// Deepest pattern ParsePatEx accepts. Every '[...]', '(...)' and
+/// repetition suffix adds one level to the AST, and the parser, the FST
+/// compiler and the AST's destructors all recurse once per level. Real
+/// patterns nest a handful of levels; the bound keeps hostile ones far from
+/// the stack limit.
+inline constexpr int kMaxPatexNesting = 1000;
+
+/// Parses `text` into a pattern expression AST. Throws PatexParseError,
+/// also for patterns nested deeper than kMaxPatexNesting.
 std::unique_ptr<PatEx> ParsePatEx(const std::string& text);
 
 }  // namespace dseq

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "src/dict/dictionary.h"
+#include "src/fst/compiler.h"
+
 namespace dseq {
 namespace {
 
@@ -188,6 +194,40 @@ TEST(PatexParserTest, ToStringRoundTrips) {
     auto reparsed = ParsePatEx(ast->ToString());
     EXPECT_EQ(ast->ToString(), reparsed->ToString()) << e;
   }
+}
+
+std::string Nested(char open, char close, int depth) {
+  return std::string(depth, open) + "." + std::string(depth, close);
+}
+
+// Deep nesting is a typed error at the first bracket past the bound, not a
+// stack overflow in the parser, the compiler or the AST's destructors.
+TEST(PatexParserTest, DeepNestingIsATypedError) {
+  for (auto [open, close] : {std::pair('[', ']'), std::pair('(', ')')}) {
+    try {
+      ParsePatEx(Nested(open, close, 30'000));
+      FAIL() << "expected PatexParseError for " << open;
+    } catch (const PatexParseError& e) {
+      EXPECT_EQ(e.position(), static_cast<size_t>(kMaxPatexNesting)) << open;
+    }
+  }
+  EXPECT_THROW(ParsePatEx(Nested('[', ']', kMaxPatexNesting + 1)),
+               PatexParseError);
+  // Repetition suffixes nest the AST as deeply as brackets do.
+  EXPECT_THROW(ParsePatEx("." + std::string(30'000, '*')), PatexParseError);
+  EXPECT_THROW(ParsePatEx("[." + std::string(600, '?') + "]" +
+                          std::string(600, '?')),
+               PatexParseError);
+}
+
+TEST(PatexParserTest, NestingJustUnderTheLimitCompiles) {
+  DictionaryBuilder builder;
+  builder.AddItem("a");
+  Dictionary dict = builder.Build();
+  EXPECT_NO_THROW(ParsePatEx(Nested('[', ']', kMaxPatexNesting)));
+  EXPECT_NO_THROW(CompileFst(Nested('[', ']', kMaxPatexNesting - 1), dict));
+  EXPECT_NO_THROW(
+      CompileFst("(" + Nested('[', ']', kMaxPatexNesting - 2) + ")", dict));
 }
 
 }  // namespace
