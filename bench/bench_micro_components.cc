@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -425,6 +426,29 @@ void BenchDesqDfsSmall() {
   });
 }
 
+void BenchDfsMinePartition() {
+  // D-SEQ's reduce-side local mining: pivot-restricted DESQ-DFS over the
+  // 64 BuildGrids grids, with the pivot that most of them can produce.
+  std::vector<StateGrid> grids = BuildGrids(64);
+  std::map<ItemId, size_t> pivot_counts;
+  for (const StateGrid& grid : grids) {
+    for (ItemId k : FindPivotItems(grid)) ++pivot_counts[k];
+  }
+  if (pivot_counts.empty()) return;
+  DesqDfsOptions options;
+  options.sigma = 2;
+  options.pivot = std::max_element(pivot_counts.begin(), pivot_counts.end(),
+                                   [](const auto& a, const auto& b) {
+                                     return a.second < b.second;
+                                   })
+                      ->first;
+  RunBench("dfs_mine_partition", 0, [&] {
+    MiningResult result = MineDesqDfsGrids(grids, options);
+    volatile size_t sink = result.size();
+    (void)sink;
+  });
+}
+
 void BenchTraceOverhead() {
   // The disabled-run cost of the instrumentation pattern (trace.h's
   // overhead doctrine): the same ~1µs workload measured bare and wrapped
@@ -499,6 +523,7 @@ int main(int argc, char** argv) {
   BenchBlockCodec();
   BenchExternalMerge();
   BenchDesqDfsSmall();
+  BenchDfsMinePartition();
   BenchTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;

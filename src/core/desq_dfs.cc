@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
 namespace dseq {
 namespace {
@@ -30,9 +29,12 @@ class Miner {
       : grids_(grids), weights_(weights), options_(options), out_(out) {
     eps_accept_.resize(grids.size());
     last_pivot_layer_.assign(grids.size(), -1);
+    size_t max_cells = 0;
     for (size_t s = 0; s < grids.size(); ++s) {
       const StateGrid& grid = grids[s];
       if (!grid.HasAcceptingRun()) continue;
+      max_cells =
+          std::max(max_cells, (grid.length() + 1) * grid.num_states());
       eps_accept_[s] = grid.ComputeEpsAcceptTable();
       if (options.pivot != kNoItem && options.early_stop) {
         for (size_t i = 0; i < grid.length(); ++i) {
@@ -46,6 +48,7 @@ class Miner {
         }
       }
     }
+    visited_.assign(max_cells, 0);
   }
 
   void Run() {
@@ -111,27 +114,26 @@ class Miner {
     // Build children projected databases. std::map keeps item order
     // deterministic.
     std::map<ItemId, std::vector<Posting>> children;
-    std::unordered_set<uint64_t> visited;
     std::vector<std::pair<uint32_t, StateId>> stack;
     for (const Posting& p : postings) {
       const StateGrid& grid = grids_[p.seq];
       size_t ns = grid.num_states();
       // ε-output closure from (p.pos, p.state) within this grid (a DAG, so
-      // a visited set gives linear traversal).
-      visited.clear();
+      // marking visited cells gives linear traversal). Cells count as
+      // visited when stamped with this posting's generation.
+      uint32_t stamp = NextGeneration();
       stack.clear();
       stack.emplace_back(p.pos, p.state);
-      visited.insert((static_cast<uint64_t>(p.seq) << 32) | (p.pos * ns + p.state));
+      visited_[p.pos * ns + p.state] = stamp;
       while (!stack.empty()) {
         auto [pos, state] = stack.back();
         stack.pop_back();
         if (pos >= grid.length()) continue;
-        for (const StateGrid::Edge& e : grid.EdgesAt(pos)) {
-          if (e.from != state) continue;
+        for (const StateGrid::Edge& e : grid.EdgesFrom(pos, state)) {
           if (e.out.empty()) {
-            uint64_t key = (static_cast<uint64_t>(p.seq) << 32) |
-                           ((pos + 1) * ns + e.to);
-            if (visited.insert(key).second) {
+            uint32_t& mark = visited_[(pos + 1) * ns + e.to];
+            if (mark != stamp) {
+              mark = stamp;
               stack.emplace_back(pos + 1, e.to);
             }
             continue;
@@ -165,12 +167,26 @@ class Miner {
     }
   }
 
+  // Starts a new visited set: every cell stamped before now counts as
+  // unvisited. On wrap-around the stamps are cleared once.
+  uint32_t NextGeneration() {
+    if (++generation_ == 0) {
+      std::fill(visited_.begin(), visited_.end(), 0);
+      generation_ = 1;
+    }
+    return generation_;
+  }
+
   const std::vector<StateGrid>& grids_;
   const std::vector<uint64_t>* weights_;
   const DesqDfsOptions& options_;
   MiningResult* out_;
   std::vector<std::vector<uint8_t>> eps_accept_;
   std::vector<int64_t> last_pivot_layer_;
+  // Visited stamps of the current ε-closure, indexed pos * num_states +
+  // state; sized for the largest grid.
+  std::vector<uint32_t> visited_;
+  uint32_t generation_ = 0;
   Sequence prefix_;
 };
 

@@ -3,13 +3,29 @@
 // For an input sequence T and an FST, the grid is a layered DAG over
 // coordinates (i, q): "after consuming the first i items of T, the FST is in
 // state q". Edges between layers i and i+1 carry the materialized output set
-// of the matched transition (sorted item vector; empty = ε). The grid is
-// pruned to coordinates that lie on at least one *accepting* run — the
-// paper's dynamic-programming dead-end elimination.
+// of the matched transition (sorted items; empty = ε). The grid is pruned to
+// coordinates that lie on at least one *accepting* run — the paper's
+// dynamic-programming dead-end elimination.
 //
 // The grid is the single structure behind pivot search (Theorem 1),
 // candidate enumeration, DESQ-DFS postings, sequence rewriting, and D-CAND
 // run enumeration.
+//
+// Layout: a grid is three flat arrays, so building one costs a fixed number
+// of allocations regardless of its size.
+//  * `edges_` holds every layer's edges, layer-major; within a layer they are
+//    sorted by (from, to, out) and duplicate-free.
+//  * `from_begin_` holds length()·num_states() + 1 offsets into `edges_`:
+//    the edges of coordinate (i, q) are [from_begin_[i·ns + q],
+//    from_begin_[i·ns + q + 1]), so a layer and a coordinate's out-edges are
+//    each one contiguous range (EdgesAt, EdgesFrom).
+//  * `items_` is one pool behind every edge's output set; `Edge::out` is a
+//    read-only ItemSpan into it.
+//
+// Lifetime: an ItemSpan or Edge reference is valid while the grid it came
+// from lives (moving the grid keeps it valid, since the pool's buffer moves
+// along). Copying a grid copies the pool and rebases the copy's spans onto
+// it, so a copy never points into its source.
 #ifndef DSEQ_CORE_GRID_H_
 #define DSEQ_CORE_GRID_H_
 
@@ -21,6 +37,38 @@
 #include "src/util/common.h"
 
 namespace dseq {
+
+/// Read-only view of a contiguous array of T owned by someone else.
+template <typename T>
+class ConstSpan {
+ public:
+  using value_type = T;
+  using const_iterator = const T*;
+  using iterator = const T*;
+
+  ConstSpan() = default;
+  ConstSpan(const T* data, size_t size)
+      : data_(data), size_(static_cast<uint32_t>(size)) {}
+
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  const T* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](size_t i) const { return data_[i]; }
+
+  /// Copies the viewed elements (so an output set reads as a Sequence).
+  operator std::vector<T>() const {  // NOLINT: implicit by design
+    return std::vector<T>(begin(), end());
+  }
+
+ private:
+  const T* data_ = nullptr;
+  uint32_t size_ = 0;
+};
+
+/// A sorted output set inside a grid's item pool.
+using ItemSpan = ConstSpan<ItemId>;
 
 /// Options for grid construction.
 struct GridOptions {
@@ -37,10 +85,15 @@ class StateGrid {
   struct Edge {
     StateId from;  // FST state at layer i
     StateId to;    // FST state at layer i+1
-    Sequence out;  // sorted output items; empty = ε
+    ItemSpan out;  // sorted output items; empty = ε
   };
+  using EdgeSpan = ConstSpan<Edge>;
 
   StateGrid() = default;
+  StateGrid(const StateGrid& other);
+  StateGrid& operator=(const StateGrid& other);
+  StateGrid(StateGrid&&) noexcept = default;
+  StateGrid& operator=(StateGrid&&) noexcept = default;
 
   /// Builds the pruned grid for `T` under `fst`.
   static StateGrid Build(const Sequence& T, const Fst& fst,
@@ -55,8 +108,17 @@ class StateGrid {
   /// True iff at least one accepting run exists (grid non-empty).
   bool HasAcceptingRun() const { return accepting_; }
 
-  /// Edges out of layer `pos` (consuming input item T[pos]), 0 <= pos < length.
-  const std::vector<Edge>& EdgesAt(size_t pos) const { return edges_[pos]; }
+  /// Edges out of layer `pos` (consuming input item T[pos]), 0 <= pos <
+  /// length, sorted by (from, to, out).
+  EdgeSpan EdgesAt(size_t pos) const {
+    return Range(pos * num_states_, (pos + 1) * num_states_);
+  }
+
+  /// Edges out of coordinate (pos, q), 0 <= pos < length, sorted by (to, out).
+  EdgeSpan EdgesFrom(size_t pos, StateId q) const {
+    size_t cell = pos * num_states_ + q;
+    return Range(cell, cell + 1);
+  }
 
   /// True iff coordinate (pos, q) lies on an accepting run.
   bool Alive(size_t pos, StateId q) const {
@@ -77,7 +139,7 @@ class StateGrid {
   StateId initial_state() const { return initial_; }
 
   /// Total number of live edges (grid size metric).
-  size_t num_edges() const;
+  size_t num_edges() const { return edges_.size(); }
 
   /// Computes, for every coordinate (i,q), whether (length(), f∈F) is
   /// reachable using only ε-output edges. Used by DESQ-DFS to decide whether
@@ -85,14 +147,22 @@ class StateGrid {
   std::vector<uint8_t> ComputeEpsAcceptTable() const;
 
  private:
+  // Edges of the coordinate cells [first_cell, last_cell).
+  EdgeSpan Range(size_t first_cell, size_t last_cell) const {
+    return EdgeSpan(edges_.data() + from_begin_[first_cell],
+                    from_begin_[last_cell] - from_begin_[first_cell]);
+  }
+
   size_t length_ = 0;
   size_t num_states_ = 0;
   StateId initial_ = 0;
   bool accepting_ = false;
-  std::vector<bool> alive_;             // (length+1) x num_states
-  std::vector<bool> forward_active_;    // (length+1) x num_states
-  std::vector<std::vector<Edge>> edges_;  // per layer
-  std::vector<bool> finals_;
+  std::vector<uint8_t> alive_;           // (length+1) x num_states
+  std::vector<uint8_t> forward_active_;  // (length+1) x num_states
+  std::vector<uint8_t> finals_;          // num_states
+  std::vector<Edge> edges_;              // all layers, layer-major
+  std::vector<uint32_t> from_begin_{0};  // length x num_states + 1
+  std::vector<ItemId> items_;            // pool behind every Edge::out
 };
 
 }  // namespace dseq

@@ -57,6 +57,16 @@ PivotSet PivotsOfOutputSets(const std::vector<Sequence>& output_sets) {
   return acc;
 }
 
+PivotSet PivotsOfRun(const std::vector<const StateGrid::Edge*>& run) {
+  PivotSet acc = PivotSet::Eps();
+  for (const StateGrid::Edge* e : run) {
+    if (e->out.empty()) continue;  // ε ⊕ U = U for non-empty U
+    acc = PivotMerge(acc, PivotSet::Items(e->out));
+    if (acc.IsEmpty()) return acc;
+  }
+  return acc;
+}
+
 std::vector<PivotSet> ComputeForwardPivots(const StateGrid& grid) {
   size_t n = grid.length();
   size_t ns = grid.num_states();

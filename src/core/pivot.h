@@ -194,6 +194,12 @@ struct PivotSet {
   static PivotSet Items(PivotItemVec sorted_items) {
     return PivotSet{false, std::move(sorted_items)};
   }
+  /// Items of a grid edge's output set (sorted ascending by construction).
+  static PivotSet Items(const ItemSpan& sorted_items) {
+    PivotSet result;
+    result.items.Append(sorted_items.begin(), sorted_items.end());
+    return result;
+  }
 
   /// Set union (not ⊕). Used to combine pivot sets of alternative runs.
   void UnionWith(const PivotSet& other);
@@ -210,6 +216,9 @@ PivotSet PivotMerge(const PivotSet& u, const PivotSet& q);
 /// Theorem 1: pivots of a run given its output sets (empty vector = ε).
 /// Folds ⊕ left to right starting from {ε}.
 PivotSet PivotsOfOutputSets(const std::vector<Sequence>& output_sets);
+
+/// The same fold over the output sets of a grid run's edges.
+PivotSet PivotsOfRun(const std::vector<const StateGrid::Edge*>& run);
 
 /// Forward DP table K(i,q): pivot items of the partial accepting runs whose
 /// i-th transition ends in q. Indexed i * grid.num_states() + q. Coordinates

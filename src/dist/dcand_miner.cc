@@ -148,13 +148,10 @@ DistributedResult MineDCand(const std::vector<Sequence>& db, const Fst& fst,
     // NFAs of exactly the pivots it can produce (Theorem 1 on its output
     // sets), with items above the pivot dropped.
     std::vector<OutputNfa> partition_nfas(pivots.size());
-    std::vector<Sequence> output_sets;
     uint64_t trie_states = pivots.size();  // every trie starts with its root
     bool within_budget = ForEachAcceptingRun(
         grid, max_runs, [&](const std::vector<const StateGrid::Edge*>& run) {
-          output_sets.clear();
-          for (const StateGrid::Edge* e : run) output_sets.push_back(e->out);
-          PivotSet run_pivots = PivotsOfOutputSets(output_sets);
+          PivotSet run_pivots = PivotsOfRun(run);
           for (ItemId k : run_pivots.items) {
             auto it = std::lower_bound(pivots.begin(), pivots.end(), k);
             OutputNfa& nfa = partition_nfas[it - pivots.begin()];

@@ -111,6 +111,26 @@ TEST(DesqDfsTest, MemoryBudgetThrows) {
                MiningBudgetError);
 }
 
+TEST(DesqDfsTest, MemoryBudgetBoundIsTotalGridEdges) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  GridOptions grid_options;
+  grid_options.prune_sigma = 2;
+  uint64_t total_edges = 0;
+  for (const Sequence& T : db.sequences) {
+    total_edges +=
+        StateGrid::Build(T, fst, db.dict, grid_options).num_edges();
+  }
+  ASSERT_GT(total_edges, 1u);
+  DesqDfsOptions options;
+  options.sigma = 2;
+  options.max_total_grid_edges = total_edges;
+  EXPECT_NO_THROW(MineDesqDfs(db.sequences, fst, db.dict, options));
+  options.max_total_grid_edges = total_edges - 1;
+  EXPECT_THROW(MineDesqDfs(db.sequences, fst, db.dict, options),
+               MiningBudgetError);
+}
+
 TEST(DesqDfsTest, EmptyDatabase) {
   SequenceDatabase db = MakeRunningExample();
   Fst fst = CompileFst(kPatternEx, db.dict);

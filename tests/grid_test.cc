@@ -3,15 +3,185 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "src/core/candidates.h"
+#include "src/datagen/market_baskets.h"
+#include "src/datagen/text_corpus.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "tests/test_util.h"
 
 namespace dseq {
 namespace {
 
 constexpr char kPatternEx[] = ".*(A)[(.^).*]*(b).*";
+
+// Number of accepting runs (capped at `max_runs`).
+uint64_t CountAcceptingRuns(const StateGrid& grid, uint64_t max_runs) {
+  uint64_t count = 0;
+  ForEachAcceptingRun(grid, max_runs,
+                      [&](const std::vector<const StateGrid::Edge*>&) {
+                        ++count;
+                      });
+  return count;
+}
+
+// A grid edge as plain values, so grids compare edge by edge.
+struct PlainEdge {
+  StateId from;
+  StateId to;
+  Sequence out;
+
+  bool operator==(const PlainEdge& o) const {
+    return from == o.from && to == o.to && out == o.out;
+  }
+  bool operator<(const PlainEdge& o) const {
+    return std::tie(from, to, out) < std::tie(o.from, o.to, o.out);
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const PlainEdge& e) {
+  os << e.from << "->" << e.to << " [";
+  for (ItemId w : e.out) os << ' ' << w;
+  return os << " ]";
+}
+
+using PlainLayers = std::vector<std::vector<PlainEdge>>;
+
+PlainLayers LayersOf(const StateGrid& grid) {
+  PlainLayers layers(grid.length());
+  for (size_t i = 0; i < grid.length(); ++i) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      layers[i].push_back(PlainEdge{e.from, e.to, e.out});
+    }
+  }
+  return layers;
+}
+
+// The grid's edges as a per-layer construction computes them, with one
+// vector per layer and per output set: forward simulation, per-layer sort
+// and dedupe by (from, to, out), backward prune to coordinates on an
+// accepting run. An oracle for StateGrid::Build's flat layout.
+PlainLayers ReferenceLayers(const Sequence& T, const Fst& fst,
+                            const Dictionary& dict, uint64_t prune_sigma) {
+  size_t n = T.size();
+  size_t ns = fst.num_states();
+  PlainLayers layers(n);
+  if (ns == 0) return layers;
+  std::vector<bool> active((n + 1) * ns, false);
+  active[fst.initial()] = true;
+  for (size_t i = 0; i < n; ++i) {
+    for (StateId q = 0; q < ns; ++q) {
+      if (!active[i * ns + q]) continue;
+      for (const Transition& tr : fst.From(q)) {
+        if (!fst.Matches(tr, T[i], dict)) continue;
+        Sequence out;
+        fst.ComputeOutput(tr, T[i], dict, &out);
+        if (prune_sigma > 0 && !out.empty()) {
+          Sequence kept;
+          for (ItemId w : out) {
+            if (dict.DocFrequency(w) >= prune_sigma) kept.push_back(w);
+          }
+          if (kept.empty() && tr.out_kind != OutputKind::kEpsilon) continue;
+          out = kept;
+        }
+        active[(i + 1) * ns + tr.to] = true;
+        layers[i].push_back(PlainEdge{q, tr.to, out});
+      }
+    }
+    std::sort(layers[i].begin(), layers[i].end());
+    layers[i].erase(std::unique(layers[i].begin(), layers[i].end()),
+                    layers[i].end());
+  }
+  std::vector<bool> alive((n + 1) * ns, false);
+  for (StateId q = 0; q < ns; ++q) {
+    alive[n * ns + q] = active[n * ns + q] && fst.IsFinal(q);
+  }
+  for (size_t i = n; i-- > 0;) {
+    std::vector<PlainEdge> kept;
+    for (const PlainEdge& e : layers[i]) {
+      if (!alive[(i + 1) * ns + e.to]) continue;
+      kept.push_back(e);
+      alive[i * ns + e.from] = true;
+    }
+    layers[i] = std::move(kept);
+  }
+  if (!alive[fst.initial()]) layers.assign(n, {});
+  return layers;
+}
+
+// Asserts that `actual` holds exactly the coordinates and edges of
+// `expected`, and that its output sets live in its own item pool.
+void ExpectSameGrid(const StateGrid& actual, const StateGrid& expected) {
+  ASSERT_EQ(actual.length(), expected.length());
+  ASSERT_EQ(actual.num_states(), expected.num_states());
+  EXPECT_EQ(actual.HasAcceptingRun(), expected.HasAcceptingRun());
+  EXPECT_EQ(actual.initial_state(), expected.initial_state());
+  EXPECT_EQ(actual.num_edges(), expected.num_edges());
+  EXPECT_EQ(LayersOf(actual), LayersOf(expected));
+  for (size_t i = 0; i <= actual.length(); ++i) {
+    for (StateId q = 0; q < actual.num_states(); ++q) {
+      EXPECT_EQ(actual.Alive(i, q), expected.Alive(i, q));
+      EXPECT_EQ(actual.ForwardActive(i, q), expected.ForwardActive(i, q));
+    }
+  }
+  for (size_t i = 0; i < actual.length(); ++i) {
+    for (size_t k = 0; k < actual.EdgesAt(i).size(); ++k) {
+      const ItemSpan& a = actual.EdgesAt(i)[k].out;
+      if (!a.empty()) {
+        EXPECT_NE(a.data(), expected.EdgesAt(i)[k].out.data());
+      }
+    }
+  }
+}
+
+// Checks the flat layout: every layer strictly sorted by (from, to, out),
+// so duplicate-free; EdgesFrom(pos, q) is exactly the slice of EdgesAt(pos)
+// with from == q; num_edges() is the sum of the layer sizes; and the
+// layers equal the per-layer reference construction. Returns the number of
+// edges checked.
+size_t ExpectFlatLayout(const Sequence& T, const Fst& fst,
+                      const Dictionary& dict, uint64_t prune_sigma,
+                      const std::string& context) {
+  GridOptions options;
+  options.prune_sigma = prune_sigma;
+  StateGrid grid = StateGrid::Build(T, fst, dict, options);
+  size_t total = 0;
+  for (size_t pos = 0; pos < grid.length(); ++pos) {
+    StateGrid::EdgeSpan layer = grid.EdgesAt(pos);
+    total += layer.size();
+    for (size_t k = 1; k < layer.size(); ++k) {
+      PlainEdge prev{layer[k - 1].from, layer[k - 1].to, layer[k - 1].out};
+      PlainEdge cur{layer[k].from, layer[k].to, layer[k].out};
+      EXPECT_TRUE(prev < cur) << context << " layer " << pos << ": " << prev
+                              << " before " << cur;
+    }
+    for (StateId q = 0; q < grid.num_states(); ++q) {
+      std::vector<const StateGrid::Edge*> expected;
+      for (const StateGrid::Edge& e : layer) {
+        if (e.from == q) expected.push_back(&e);
+      }
+      StateGrid::EdgeSpan from = grid.EdgesFrom(pos, q);
+      EXPECT_EQ(from.size(), expected.size())
+          << context << " layer " << pos << " state " << q;
+      if (from.size() != expected.size()) continue;
+      for (size_t k = 0; k < from.size(); ++k) {
+        EXPECT_EQ(&from[k], expected[k]) << context;
+      }
+    }
+  }
+  EXPECT_EQ(grid.num_edges(), total) << context;
+  if (!grid.HasAcceptingRun()) {
+    EXPECT_EQ(grid.num_edges(), 0u) << context;
+  }
+  EXPECT_EQ(LayersOf(grid), ReferenceLayers(T, fst, dict, prune_sigma))
+      << context;
+  return grid.num_edges();
+}
 
 TEST(GridTest, EmptyForNonMatchingSequence) {
   SequenceDatabase db = MakeRunningExample();
@@ -167,6 +337,124 @@ TEST(CandidatesTest, RunBudgetStopsEnumeration) {
       grid, 2, [&](const std::vector<const StateGrid::Edge*>&) { ++seen; });
   EXPECT_FALSE(complete);
   EXPECT_EQ(seen, 2u);
+}
+
+TEST(GridTest, CopiesAndMovesOutliveTheirSource) {
+  SequenceDatabase db = MakeRunningExample();
+  Fst fst = CompileFst(kPatternEx, db.dict);
+  const Sequence& T = db.sequences[1];
+  StateGrid fresh = StateGrid::Build(T, fst, db.dict, {});
+  ASSERT_GT(fresh.num_edges(), 0u);
+  auto build = [&] {
+    return std::make_unique<StateGrid>(StateGrid::Build(T, fst, db.dict, {}));
+  };
+
+  auto source = build();
+  StateGrid copied(*source);
+  source.reset();
+  ExpectSameGrid(copied, fresh);
+
+  // Copy-assign over a grid that already holds another sequence's edges.
+  source = build();
+  StateGrid assigned = StateGrid::Build(db.sequences[0], fst, db.dict, {});
+  assigned = *source;
+  source.reset();
+  ExpectSameGrid(assigned, fresh);
+
+  StateGrid self = StateGrid::Build(T, fst, db.dict, {});
+  const StateGrid& alias = self;
+  self = alias;
+  ExpectSameGrid(self, fresh);
+
+  source = build();
+  StateGrid moved(std::move(*source));
+  source.reset();
+  ExpectSameGrid(moved, fresh);
+
+  source = build();
+  StateGrid move_assigned;
+  move_assigned = std::move(*source);
+  source.reset();
+  ExpectSameGrid(move_assigned, fresh);
+
+  // A copy of a copy, after both ancestors are gone.
+  auto middle = std::make_unique<StateGrid>(copied);
+  StateGrid second(*middle);
+  middle.reset();
+  copied = StateGrid();
+  ExpectSameGrid(second, fresh);
+}
+
+TEST(GridTest, FlatLayoutOnRunningExample) {
+  SequenceDatabase db = MakeRunningExample();
+  for (const char* pattern : {kPatternEx, "(a1)(c)(d)(c)(b)", ".*"}) {
+    Fst fst = CompileFst(pattern, db.dict);
+    for (uint64_t sigma : {0, 2}) {
+      for (size_t s = 0; s < db.sequences.size(); ++s) {
+        ExpectFlatLayout(db.sequences[s], fst, db.dict, sigma,
+                         std::string(pattern) + " T" + std::to_string(s));
+      }
+    }
+  }
+}
+
+class GridLayoutPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+
+TEST_P(GridLayoutPropertyTest, EdgesFromSlicesSortedLayers) {
+  auto [seed, pattern] = GetParam();
+  SequenceDatabase db = testing::RandomDatabase(seed + 300, 8, 30, 8);
+  Fst fst = CompileFst(pattern, db.dict);
+  size_t edges = 0;
+  for (uint64_t sigma : {0, 2}) {
+    for (size_t s = 0; s < db.sequences.size(); ++s) {
+      edges += ExpectFlatLayout(db.sequences[s], fst, db.dict, sigma,
+                                pattern + " sigma " + std::to_string(sigma) +
+                                    " T" + std::to_string(s));
+    }
+  }
+  EXPECT_GT(edges, 0u) << pattern;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomizedGrids, GridLayoutPropertyTest,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::ValuesIn(testing::PropertyPatterns())));
+
+// The paper's Tab. III constraints on small generated corpora: wide FSTs
+// over DAG hierarchies, so output sets hold many items.
+TEST(GridTest, FlatLayoutOnTableIIIConstraints) {
+  TextCorpusOptions text;
+  text.num_sentences = 150;
+  text.lemmas_per_pos = 60;
+  text.num_entities = 40;
+  SequenceDatabase nyt = GenerateTextCorpus(text);
+  MarketBasketOptions baskets;
+  baskets.num_customers = 150;
+  SequenceDatabase amzn = GenerateMarketBaskets(baskets);
+  const std::pair<const SequenceDatabase*, const char*> cases[] = {
+      {&nyt, ".* ENTITY (VERB+ NOUN+? PREP?) ENTITY .*"},
+      {&nyt, ".* (ENTITY^ VERB+ NOUN+? PREP? ENTITY^) .*"},
+      {&nyt, ".* (ENTITY^ be^=) DET? (ADV? ADJ? NOUN) .*"},
+      {&nyt, ".* (.^){3} NOUN .*"},
+      {&nyt, ".* ([.^. .]|[. .^.]|[. . .^]) .*"},
+      {&amzn, ".*(Electr^)[.{0,2}(Electr^)]{1,4}.*"},
+      {&amzn, ".*(Book)[.{0,2}(Book)]{1,4}.*"},
+      {&amzn, ".*DigitalCamera[.{0,3}(.^)]{1,4}.*"},
+      {&amzn, ".*(MusicInstr^)[.{0,2}(MusicInstr^)]{1,4}.*"},
+  };
+  for (const auto& [db, pattern] : cases) {
+    Fst fst = CompileFst(pattern, db->dict);
+    size_t edges = 0;
+    for (uint64_t sigma : {0, 3}) {
+      for (size_t s = 0; s < db->sequences.size(); ++s) {
+        edges += ExpectFlatLayout(db->sequences[s], fst, db->dict, sigma,
+                                  std::string(pattern) + " T" +
+                                      std::to_string(s));
+      }
+    }
+    EXPECT_GT(edges, 0u) << pattern;
+  }
 }
 
 }  // namespace

@@ -214,6 +214,16 @@ TEST_P(PivotPropertyTest, GridMatchesBruteForce) {
       ASSERT_TRUE(FindPivotItemsNoGrid(T, fst, db.dict, sigma, 100'000'000,
                                        &via_nogrid));
       EXPECT_EQ(via_nogrid, expected) << "sigma=" << sigma << " (no grid)";
+
+      // D-CAND's fold over a run's edge spans equals the fold over copies
+      // of their output sets.
+      ForEachAcceptingRun(
+          grid, 10'000, [&](const std::vector<const StateGrid::Edge*>& run) {
+            std::vector<Sequence> sets;
+            for (const StateGrid::Edge* e : run) sets.push_back(e->out);
+            EXPECT_EQ(PivotsOfRun(run), PivotsOfOutputSets(sets))
+                << "sigma=" << sigma;
+          });
     }
   }
 }
