@@ -190,14 +190,40 @@ class SpillableCombiner : public Combiner {
     runs_.push_back(std::move(run));
   }
 
-  /// Merge plan over all spilled runs (consumed) — the caller adds its
-  /// in-memory tail and streams the groups.
-  ExternalMergePlan MakeMergePlan() {
+  /// External aggregation: merges the spilled partial runs (consumed) with
+  /// `entries`, the current table in run order, and calls
+  /// `emit_total(merge_key, total)` once per distinct merge key in key
+  /// order — so the emitted stream is exactly the one-flush in-memory
+  /// output. Every partial is a single varint; a corrupt one throws
+  /// runtime_error(`corrupt_message`), a total past uint64 throws
+  /// overflow_error(`overflow_message`).
+  void MergeSpilledPartials(
+      std::vector<std::pair<std::string_view, std::string_view>> entries,
+      const char* corrupt_message, const char* overflow_message,
+      const std::function<void(std::string_view, uint64_t)>& emit_total) {
     ExternalMergePlan plan(ctx_->spill_dir, ctx_->compress_spill,
                            ctx_->merge_fan_in, ctx_->stats, ctx_->budget);
     for (SpillFile& run : runs_) plan.AddRun(std::move(run));
     runs_.clear();
-    return plan;
+    if (!entries.empty()) {
+      plan.AddSource(std::make_unique<InMemorySource>(std::move(entries)));
+    }
+    plan.MergeGroups([&](std::string_view merge_key,
+                         std::vector<std::string_view>& partials) {
+      uint64_t total = 0;
+      for (std::string_view partial : partials) {
+        size_t pos = 0;
+        uint64_t sum = 0;
+        if (!GetVarint(partial, &pos, &sum) || pos != partial.size()) {
+          throw std::runtime_error(corrupt_message);
+        }
+        if (sum > std::numeric_limits<uint64_t>::max() - total) {
+          throw std::overflow_error(overflow_message);
+        }
+        total += sum;
+      }
+      emit_total(merge_key, total);
+    });
   }
 
  private:
@@ -237,7 +263,17 @@ class SumCombiner : public SpillableCombiner {
 
   void Flush(const EmitFn& emit) override {
     if (has_runs()) {
-      FlushExternal(emit);
+      // Sum equal keys across the spilled runs and the current table.
+      std::string values;
+      std::string value;
+      MergeSpilledPartials(SortedEntries(&values),
+                           "SumCombiner: corrupt spilled partial sum",
+                           "SumCombiner: per-key count sum overflows",
+                           [&](std::string_view key, uint64_t total) {
+                             value.clear();
+                             PutVarint(&value, total);
+                             emit(key, value);
+                           });
     } else if (spilling()) {
       // Key-sorted, exactly like the external path: every budgeted run
       // (spilled or not, whatever the table capacity) emits one
@@ -307,38 +343,6 @@ class SumCombiner : public SpillableCombiner {
     ReleaseCharge();
   }
 
-  // External aggregation: merge the spilled partial runs with the current
-  // table, summing equal keys — the emitted stream is exactly the one-flush
-  // in-memory output (same records, key-sorted order).
-  void FlushExternal(const EmitFn& emit) {
-    std::string values;
-    auto entries = SortedEntries(&values);
-    ExternalMergePlan plan = MakeMergePlan();
-    if (!entries.empty()) {
-      plan.AddSource(std::make_unique<InMemorySource>(std::move(entries)));
-    }
-    std::string value;
-    plan.MergeGroups([&](std::string_view key,
-                         std::vector<std::string_view>& partials) {
-      uint64_t total = 0;
-      for (std::string_view partial : partials) {
-        size_t pos = 0;
-        uint64_t sum = 0;
-        if (!GetVarint(partial, &pos, &sum) || pos != partial.size()) {
-          throw std::runtime_error("SumCombiner: corrupt spilled partial sum");
-        }
-        if (sum > std::numeric_limits<uint64_t>::max() - total) {
-          throw std::overflow_error(
-              "SumCombiner: per-key count sum overflows");
-        }
-        total += sum;
-      }
-      value.clear();
-      PutVarint(&value, total);
-      emit(key, value);
-    });
-  }
-
   CombinerTable<Slot> table_;
   StringArena arena_;
 };
@@ -376,7 +380,21 @@ class WeightedValueCombiner : public SpillableCombiner {
 
   void Flush(const EmitFn& emit) override {
     if (has_runs()) {
-      FlushExternal(emit);
+      // Sum equal (key, payload) identities across the spilled runs and
+      // the current table.
+      std::string bytes;
+      std::string value;
+      MergeSpilledPartials(
+          SortedEntries(&bytes),
+          "WeightedValueCombiner: corrupt spilled partial weight",
+          "WeightedValueCombiner: per-value weight sum overflows",
+          [&](std::string_view composite, uint64_t total) {
+            auto [key, payload] = CompositeParts(composite);
+            value.clear();
+            PutVarint(&value, total);
+            value.append(payload.data(), payload.size());
+            emit(key, value);
+          });
     } else if (spilling()) {
       // Composite-sorted, exactly like the external path (and independent
       // of the table capacity): every budgeted run emits one deterministic
@@ -486,38 +504,6 @@ class WeightedValueCombiner : public SpillableCombiner {
     ReleaseCharge();
   }
 
-  void FlushExternal(const EmitFn& emit) {
-    std::string bytes;
-    auto entries = SortedEntries(&bytes);
-    ExternalMergePlan plan = MakeMergePlan();
-    if (!entries.empty()) {
-      plan.AddSource(std::make_unique<InMemorySource>(std::move(entries)));
-    }
-    std::string value;
-    plan.MergeGroups([&](std::string_view composite,
-                         std::vector<std::string_view>& partials) {
-      uint64_t total = 0;
-      for (std::string_view partial : partials) {
-        size_t pos = 0;
-        uint64_t sum = 0;
-        if (!GetVarint(partial, &pos, &sum) || pos != partial.size()) {
-          throw std::runtime_error(
-              "WeightedValueCombiner: corrupt spilled partial weight");
-        }
-        if (sum > std::numeric_limits<uint64_t>::max() - total) {
-          throw std::overflow_error(
-              "WeightedValueCombiner: per-value weight sum overflows");
-        }
-        total += sum;
-      }
-      auto [key, payload] = CompositeParts(composite);
-      value.clear();
-      PutVarint(&value, total);
-      value.append(payload.data(), payload.size());
-      emit(key, value);
-    });
-  }
-
   CombinerTable<Slot> table_;
   StringArena arena_;
 };
@@ -542,6 +528,21 @@ std::atomic<uint64_t>& GlobalInputStorageReads() {
 std::atomic<uint64_t>& GlobalInputCacheHits() {
   static std::atomic<uint64_t> hits{0};
   return hits;
+}
+
+DataflowMetrics& DataflowMetrics::operator+=(const DataflowMetrics& other) {
+  map_seconds += other.map_seconds;
+  reduce_seconds += other.reduce_seconds;
+  for (uint64_t DataflowMetrics::*counter : kDataflowCounters) {
+    this->*counter += other.*counter;
+  }
+  if (other.reducer_bytes.size() > reducer_bytes.size()) {
+    reducer_bytes.resize(other.reducer_bytes.size(), 0);
+  }
+  for (size_t r = 0; r < other.reducer_bytes.size(); ++r) {
+    reducer_bytes[r] += other.reducer_bytes[r];
+  }
+  return *this;
 }
 
 std::unique_ptr<Combiner> MakeSumCombiner() {
@@ -607,7 +608,6 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
   // bucket has charged. All locals, so a failed round unwinds through the
   // SpillFile destructors and leaves the spill directory empty.
   MemoryBudget budget(options.memory_budget_bytes);
-  const bool spill_enabled = budget.enabled() && !options.spill_dir.empty();
   SpillStats spill_stats;
   std::vector<std::vector<std::vector<SpillFile>>> spill_runs(map_workers);
   std::vector<std::vector<uint64_t>> bucket_charged(
@@ -670,14 +670,11 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
     }
   }
 
-  // Reduce: each reduce worker drains the bucket column hashed to it, then
-  // groups by sorting record views — no per-record rebuild into a hash map.
-  // The drained arenas are owned (and released) by the worker itself, so the
-  // shuffle's memory is freed worker by worker, not at the end of the phase.
-  // Columns with spilled runs go through the external merger instead: the
-  // runs and the resident tails stream through a stable k-way merge that
-  // reproduces the exact key order and within-key value order of the
-  // in-memory path.
+  // Reduce: each reduce worker drains the bucket column hashed to it and
+  // groups it with RunReduceColumn (map_shard.cc) — the same column body
+  // the proc backend's reduce workers run. The drained arenas are owned
+  // (and released) by the worker itself, so the shuffle's memory is freed
+  // worker by worker, not at the end of the phase.
   metrics.reduce_seconds =
       RunPhase(reduce_workers, options.execution, [&](int r) {
         DSEQ_TRACE_SPAN("engine", "reduce_shard");
@@ -689,86 +686,19 @@ DataflowMetrics RunMapReduce(size_t num_inputs, const MapFn& map_fn,
             bucket_charged[w][r] = 0;
           }
         }
-        bool column_spilled = false;
-        if (spill_enabled) {
-          for (int w = 0; w < map_workers && !column_spilled; ++w) {
-            column_spilled = !spill_runs[w][r].empty();
-          }
-        }
-        if (column_spilled) {
-          DSEQ_TRACE_SPAN("engine", "external_merge");
-          // Source order is the stability contract: per map worker, the
-          // spilled runs (chronological) and then the resident tail.
-          ExternalMergePlan plan(options.spill_dir, options.compress_spill,
-                                 options.spill_merge_fan_in, &spill_stats,
-                                 &budget);
-          std::vector<std::string> raws(map_workers);
-          for (int w = 0; w < map_workers; ++w) {
-            for (SpillFile& run : spill_runs[w][r]) {
-              plan.AddRun(std::move(run));
-            }
-            spill_runs[w][r].clear();
-            raws[w] = buckets[w][r].ReleaseRaw();
-            if (raws[w].empty()) continue;
-            std::vector<std::pair<std::string_view, std::string_view>> tail;
-            for (const BucketEntry& entry : SortedBucketEntries(raws[w])) {
-              tail.emplace_back(entry.key, entry.value);
-            }
-            plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
-          }
-          plan.MergeGroups(
-              [&](std::string_view key, std::vector<std::string_view>& values) {
-                reduce_fn(r, key, values);
-              });
-          return;
-        }
-
-        DSEQ_TRACE_SPAN("engine", "group_sweep");
-        size_t total_records = 0;
+        std::vector<ReduceColumnSource> sources(map_workers);
         for (int w = 0; w < map_workers; ++w) {
-          total_records += buckets[w][r].num_records();
+          if (budget.enabled()) sources[w].runs.swap(spill_runs[w][r]);
+          sources[w].tail_records = buckets[w][r].num_records();
+          sources[w].tail = buckets[w][r].ReleaseRaw();
         }
-        // Raw frame bytes per map worker. Reserved up front: the string
-        // views below point into these buffers, so the vector must never
-        // reallocate (SSO strings would move).
-        std::vector<std::string> raws;
-        raws.reserve(map_workers);
-        for (int w = 0; w < map_workers; ++w) {
-          raws.push_back(buckets[w][r].ReleaseRaw());
-        }
-
-        std::vector<BucketEntry> entries;
-        entries.reserve(total_records);
-        for (const std::string& raw : raws) {
-          ShuffleBuffer::ForEachRecord(
-              raw, [&](std::string_view key, std::string_view value) {
-                entries.push_back(BucketEntry{key, value});
-              });
-        }
-        // Stable: within a key, values keep map-worker-then-emit order.
-        std::stable_sort(entries.begin(), entries.end(),
-                         [](const BucketEntry& a, const BucketEntry& b) {
-                           return a.key < b.key;
-                         });
-
-        std::vector<std::string_view> values;
-        size_t i = 0;
-        while (i < entries.size()) {
-          size_t j = i + 1;
-          while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-          values.clear();
-          values.reserve(j - i);
-          for (size_t k = i; k < j; ++k) values.push_back(entries[k].value);
-          reduce_fn(r, entries[i].key, values);
-          i = j;
-        }
+        RunReduceColumn(options, &budget, &spill_stats, std::move(sources),
+                        [&](std::string_view key,
+                            std::vector<std::string_view>& values) {
+                          reduce_fn(r, key, values);
+                        });
       });
-  // Relaxed: both phases' workers are joined by the time the stats are read.
-  metrics.spill_files = spill_stats.files.load(std::memory_order_relaxed);
-  metrics.spill_bytes_written =
-      spill_stats.bytes_written.load(std::memory_order_relaxed);
-  metrics.spill_merge_passes =
-      spill_stats.merge_passes.load(std::memory_order_relaxed);
+  ReadSpillStats(spill_stats, &metrics);  // both phases' workers joined
   // Round teardown: every bucket must have been drained by its reduce
   // worker (its live-gauge contribution is then zero — the per-round form
   // of the ShuffleBufferLiveBytes()==0 contract the RAII tests assert), its

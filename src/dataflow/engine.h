@@ -114,6 +114,34 @@ struct DataflowMetrics {
   uint64_t proc_parked_tails = 0;
 
   double total_seconds() const { return map_seconds + reduce_seconds; }
+
+  /// Field-wise sum: the seconds and every counter add, and reducer_bytes
+  /// adds element-wise (grown to the longer of the two vectors). The one
+  /// place metrics are added up — chained aggregates and the proc backend's
+  /// per-task totals both go through it.
+  DataflowMetrics& operator+=(const DataflowMetrics& other);
+};
+
+/// Every uint64_t counter of DataflowMetrics, in the proc backend's
+/// task-metrics wire order (PutTaskMetrics, src/rpc/proc_backend.h).
+/// operator+= and that codec both walk this list, so a new counter is
+/// declared above and listed here — nowhere else.
+inline constexpr uint64_t DataflowMetrics::*kDataflowCounters[] = {
+    &DataflowMetrics::shuffle_bytes,
+    &DataflowMetrics::shuffle_compressed_bytes,
+    &DataflowMetrics::shuffle_records,
+    &DataflowMetrics::map_output_records,
+    &DataflowMetrics::spill_files,
+    &DataflowMetrics::spill_bytes_written,
+    &DataflowMetrics::spill_merge_passes,
+    &DataflowMetrics::input_storage_reads,
+    &DataflowMetrics::input_cache_hits,
+    &DataflowMetrics::proc_task_attempts,
+    &DataflowMetrics::proc_task_retries,
+    &DataflowMetrics::proc_worker_kills,
+    &DataflowMetrics::proc_workers_respawned,
+    &DataflowMetrics::proc_segment_chunks,
+    &DataflowMetrics::proc_parked_tails,
 };
 
 /// Process-global input-read counters, bumped by caching input readers

@@ -10,18 +10,39 @@
 #include "src/obs/trace.h"
 
 namespace dseq {
+namespace {
 
-std::vector<BucketEntry> SortedBucketEntries(std::string_view raw) {
-  std::vector<BucketEntry> entries;
+// One shuffle record view during bucket sorting / merging.
+struct BucketEntry {
+  std::string_view key;
+  std::string_view value;
+};
+
+void AppendEntries(std::string_view raw, std::vector<BucketEntry>* entries) {
   ShuffleBuffer::ForEachRecord(
       raw, [&](std::string_view key, std::string_view value) {
-        entries.push_back(BucketEntry{key, value});
+        entries->push_back(BucketEntry{key, value});
       });
+}
+
+// Stable: within equal keys, entries keep their append order (source, then
+// emit order) — which both the in-memory grouping and the spilled sorted
+// runs rely on.
+void StableSortByKey(std::vector<BucketEntry>* entries) {
   std::stable_sort(
-      entries.begin(), entries.end(),
+      entries->begin(), entries->end(),
       [](const BucketEntry& a, const BucketEntry& b) { return a.key < b.key; });
+}
+
+// Parses `raw` (ReleaseRaw frames) into entries stable-sorted by key.
+std::vector<BucketEntry> SortedBucketEntries(std::string_view raw) {
+  std::vector<BucketEntry> entries;
+  AppendEntries(raw, &entries);
+  StableSortByKey(&entries);
   return entries;
 }
+
+}  // namespace
 
 void RunMapShard(const MapShardContext& ctx) {
   const DataflowOptions& options = *ctx.options;
@@ -172,6 +193,65 @@ void RunMapShard(const MapShardContext& ctx) {
   }
   ctx.map_output_records->fetch_add(local_output_records,
                                     std::memory_order_relaxed);
+}
+
+void ReadSpillStats(const SpillStats& stats, DataflowMetrics* metrics) {
+  metrics->spill_files = stats.files.load(std::memory_order_relaxed);
+  metrics->spill_bytes_written =
+      stats.bytes_written.load(std::memory_order_relaxed);
+  metrics->spill_merge_passes =
+      stats.merge_passes.load(std::memory_order_relaxed);
+}
+
+void RunReduceColumn(const DataflowOptions& options, MemoryBudget* budget,
+                     SpillStats* spill_stats,
+                     std::vector<ReduceColumnSource> sources,
+                     const MergeGroupFn& group_fn) {
+  const bool any_run =
+      std::any_of(sources.begin(), sources.end(),
+                  [](const ReduceColumnSource& s) { return !s.runs.empty(); });
+  if (any_run) {
+    DSEQ_TRACE_SPAN("engine", "external_merge");
+    // Source order is the stability contract: per map task, the spilled
+    // runs (chronological) and then the resident tail.
+    ExternalMergePlan plan(options.spill_dir, options.compress_spill,
+                           options.spill_merge_fan_in, spill_stats, budget);
+    for (ReduceColumnSource& source : sources) {
+      for (SpillFile& run : source.runs) plan.AddRun(std::move(run));
+      source.runs.clear();
+      if (source.tail.empty()) continue;
+      std::vector<std::pair<std::string_view, std::string_view>> tail;
+      for (const BucketEntry& entry : SortedBucketEntries(source.tail)) {
+        tail.emplace_back(entry.key, entry.value);
+      }
+      plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
+    }
+    plan.MergeGroups(group_fn);
+    return;
+  }
+
+  DSEQ_TRACE_SPAN("engine", "group_sweep");
+  size_t total_records = 0;
+  for (const ReduceColumnSource& source : sources) {
+    total_records += source.tail_records;
+  }
+  std::vector<BucketEntry> entries;
+  entries.reserve(total_records);
+  for (const ReduceColumnSource& source : sources) {
+    AppendEntries(source.tail, &entries);
+  }
+  StableSortByKey(&entries);
+  std::vector<std::string_view> values;
+  size_t i = 0;
+  while (i < entries.size()) {
+    size_t j = i + 1;
+    while (j < entries.size() && entries[j].key == entries[i].key) ++j;
+    values.clear();
+    values.reserve(j - i);
+    for (size_t k = i; k < j; ++k) values.push_back(entries[k].value);
+    group_fn(entries[i].key, values);
+    i = j;
+  }
 }
 
 }  // namespace dseq

@@ -1,40 +1,37 @@
-// The per-worker map-shard body of the dataflow engine, extracted so the
-// local (in-process) backend and the proc backend's worker processes run
-// the *same* code: sharding, partitioner resolution, shuffle-byte
-// accounting, budget charging, and bucket spilling are shared by
-// construction, which is what makes the proc backend's results and raw
-// shuffle metrics byte-identical to the local engine's.
+// The per-worker bodies of the dataflow engine, extracted so the local
+// (in-process) backend and the proc backend's worker processes run the
+// *same* code on both sides of the shuffle, which is what makes the proc
+// backend's results and raw shuffle metrics byte-identical to the local
+// engine's:
 //
-// RunMapReduce points the context at its shared per-round arrays and
-// atomics (one budget and one set of counters across all map workers); a
-// proc worker points it at the per-task state of its own process (its own
-// budget and counters, reported back to the coordinator afterwards).
+//   - RunMapShard is one map worker's shard: sharding, partitioner
+//     resolution, shuffle-byte accounting, budget charging, and bucket
+//     spilling. RunMapReduce points its context at the shared per-round
+//     arrays and atomics (one budget and one set of counters across all map
+//     workers); a proc worker points it at the per-task state of its own
+//     process (its own budget and counters, reported back afterwards).
+//   - RunReduceColumn is one reduce worker's column: it groups the column's
+//     sources — per map task, the spilled runs and then the resident tail —
+//     into key groups, with a stable external merge when any run exists and
+//     a stable sort-and-sweep otherwise. The local engine hands it drained
+//     buckets; a proc worker hands it decoded segments, replayed by the
+//     coordinator in the same map-task order.
 #ifndef DSEQ_DATAFLOW_MAP_SHARD_H_
 #define DSEQ_DATAFLOW_MAP_SHARD_H_
 
 #include <atomic>
 #include <cstdint>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
+#include "src/spill/external_merger.h"
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_context.h"
 #include "src/spill/spill_file.h"
 
 namespace dseq {
-
-/// One shuffle record view during bucket sorting / merging.
-struct BucketEntry {
-  std::string_view key;
-  std::string_view value;
-};
-
-/// Parses `raw` (ReleaseRaw frames) into entries stable-sorted by key —
-/// emit order within equal keys is preserved, which both the in-memory
-/// grouping and the spilled sorted runs rely on.
-std::vector<BucketEntry> SortedBucketEntries(std::string_view raw);
 
 /// Everything one map worker's shard touches. All pointers are caller-owned
 /// and must outlive the RunMapShard call; the per-reducer arrays (`buckets`,
@@ -77,6 +74,35 @@ struct MapShardContext {
 /// sealed per the options) and any spilled sorted runs in `spill_runs`.
 /// Throws ShuffleOverflowError when a budget is exceeded.
 void RunMapShard(const MapShardContext& ctx);
+
+/// Copies the spill counters into metrics->spill_*. Relaxed loads: callers
+/// read them after the writing workers have joined, or on their own thread.
+void ReadSpillStats(const SpillStats& stats, DataflowMetrics* metrics);
+
+/// What one map task contributes to one reduce column, in the order the
+/// stable merge drains it: the task's spilled sorted runs (chronological),
+/// then its resident tail as raw frames (ShuffleBuffer::ReleaseRaw form;
+/// empty when nothing stayed resident). A source may also hold only runs or
+/// only a tail — what matters is that the sources are in map-task order.
+struct ReduceColumnSource {
+  std::vector<SpillFile> runs;
+  std::string tail;
+  uint64_t tail_records = 0;  // sizes the in-memory sweep up front
+};
+
+/// Groups one reduce column and calls `group_fn` once per distinct key:
+/// keys ascending, values in (source, emit) order. The path follows the
+/// input, not an option: a column with any spilled run streams through a
+/// stable ExternalMergePlan charged to `budget` and counted in
+/// `spill_stats` (trace span engine/external_merge); otherwise the tails
+/// are stable-sorted and swept in memory (span engine/group_sweep). Both
+/// paths yield the same groups in the same order, which is why spilling is
+/// correctness-neutral. Consumes `sources`; the views handed to `group_fn`
+/// are valid only during the call.
+void RunReduceColumn(const DataflowOptions& options, MemoryBudget* budget,
+                     SpillStats* spill_stats,
+                     std::vector<ReduceColumnSource> sources,
+                     const MergeGroupFn& group_fn);
 
 }  // namespace dseq
 

@@ -50,19 +50,17 @@ enum class MsgType : uint8_t {
   /// other segments on a connection.
   kSegment = 3,
   /// worker -> coordinator: map task finished and all its segments sent.
-  /// Payload: varint(task) varint(map_output_records) varint(shuffle_records)
-  /// varint(shuffle_bytes) varint(shuffle_compressed_bytes)
-  /// varint(spill_files) varint(spill_bytes_written) varint(spill_merge_passes)
-  /// varint(input_storage_reads) varint(input_cache_hits)
-  /// varint(num_reducers) num_reducers * varint(reducer_bytes[r]).
+  /// Payload: varint(task) followed by the task's counters as one
+  /// task-metrics record (PutTaskMetrics in src/rpc/proc_backend.h; its
+  /// reducer_bytes has one entry per reducer).
   kMapDone = 4,
   /// coordinator -> worker: varint(reducer) varint(num_segments) — reduce
   /// the segments streamed in the next num_segments kSegment frames.
   kReduceTask = 5,
-  /// worker -> coordinator: varint(reducer) varint(spill_files)
-  /// varint(spill_bytes_written) varint(spill_merge_passes)
-  /// varint(num_records) then num_records boundary records, each
-  /// varint(key size) varint(value size) key value.
+  /// worker -> coordinator: varint(reducer) varint(num_records), then
+  /// num_records boundary records, each varint(key size) varint(value size)
+  /// key value, then the task's counters as one task-metrics record
+  /// (PutTaskMetrics, as in kMapDone; its reducer_bytes is empty).
   kReduceDone = 6,
   /// worker -> coordinator, once, before exiting on an exception:
   /// varint(kind: 0 runtime_error, 1 ShuffleOverflowError,

@@ -29,7 +29,6 @@
 #include "src/obs/trace.h"
 #include "src/rpc/frame.h"
 #include "src/rpc/socket.h"
-#include "src/spill/external_merger.h"
 #include "src/spill/memory_budget.h"
 #include "src/spill/spill_context.h"
 #include "src/spill/spill_file.h"
@@ -435,19 +434,20 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
 
   // Relaxed: all counters were written by this thread during RunMapShard
   // (the only other thread, the heartbeat pump, just joined in ~pump).
+  DataflowMetrics task_metrics;
+  task_metrics.map_output_records =
+      map_output_records.load(std::memory_order_relaxed);
+  task_metrics.shuffle_records = shuffle_records.load(std::memory_order_relaxed);
+  task_metrics.shuffle_bytes = shuffle_bytes.load(std::memory_order_relaxed);
+  task_metrics.shuffle_compressed_bytes =
+      shuffle_compressed_bytes.load(std::memory_order_relaxed);
+  ReadSpillStats(spill_stats, &task_metrics);
+  task_metrics.input_storage_reads = storage_reads;
+  task_metrics.input_cache_hits = cache_hits;
+  task_metrics.reducer_bytes = std::move(reducer_bytes);
   std::string done;
   PutVarint(&done, task);
-  PutVarint(&done, map_output_records.load(std::memory_order_relaxed));
-  PutVarint(&done, shuffle_records.load(std::memory_order_relaxed));
-  PutVarint(&done, shuffle_bytes.load(std::memory_order_relaxed));
-  PutVarint(&done, shuffle_compressed_bytes.load(std::memory_order_relaxed));
-  PutVarint(&done, spill_stats.files.load(std::memory_order_relaxed));
-  PutVarint(&done, spill_stats.bytes_written.load(std::memory_order_relaxed));
-  PutVarint(&done, spill_stats.merge_passes.load(std::memory_order_relaxed));
-  PutVarint(&done, storage_reads);
-  PutVarint(&done, cache_hits);
-  PutVarint(&done, reduce_workers);
-  for (int r = 0; r < reduce_workers; ++r) PutVarint(&done, reducer_bytes[r]);
+  PutTaskMetrics(&done, task_metrics);
   // Close the task span, then ship the observability snapshot ahead of the
   // done frame so the coordinator ingests it before committing the task.
   // Best effort: a lost connection surfaces on the kMapDone send below.
@@ -458,9 +458,9 @@ void RunWorkerMapTask(WorkerConn& conn, std::string_view payload,
 
 // Runs one reduce task over the segments the coordinator streams after the
 // kReduceTask frame (already in map-task order, runs before tails per
-// task). Reproduces the local reduce phase exactly: an external stable
-// merge when any run segment exists, the sort-based in-memory grouping
-// otherwise.
+// task): decodes them into reduce-column sources and hands those to the
+// local engine's own RunReduceColumn, so the groups and their value order
+// are the local reduce phase's by construction.
 void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
                          const ChainReduceFn& reduce_fn,
                          const DataflowOptions& options, int heartbeat_ms) {
@@ -481,11 +481,11 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
   struct Seg {
     uint64_t kind;
     bool compressed;
+    uint64_t num_records;
     std::string bytes;
   };
   std::vector<Seg> segments;
   segments.reserve(num_segments);
-  bool any_run = false;
   std::string parts;  // pending kSegmentPart chunks of the current segment
   bool part_open = false;
   const int64_t stream_start_ns = obs::NowNs();
@@ -514,14 +514,37 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
       part_open = false;
     }
     full.append(h.bytes.data(), h.bytes.size());
-    any_run = any_run || h.kind == kSegmentRun;
-    segments.push_back(
-        Seg{h.kind, (h.flags & kFlagCompressed) != 0, std::move(full)});
+    segments.push_back(Seg{h.kind, (h.flags & kFlagCompressed) != 0,
+                           h.num_records, std::move(full)});
     progress.fetch_add(1, std::memory_order_relaxed);
     ++i;
   }
   if (part_open) ProtocolError("unterminated segment chunk stream");
   obs::EmitSpan("worker", "segment_stream", stream_start_ns, obs::NowNs());
+
+  // One source per segment keeps the replayed order. A run segment's bytes
+  // are a complete spill run; materializing them into a SpillFile makes
+  // them a local run again, verbatim. Tails are decoded to raw frames.
+  std::vector<ReduceColumnSource> sources(segments.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    Seg& s = segments[i];
+    ReduceColumnSource& source = sources[i];
+    if (s.kind == kSegmentRun) {
+      SpillFile run = SpillFile::Create(options.spill_dir);
+      run.Append(s.bytes.data(), s.bytes.size());
+      run.FinishWrite();
+      source.runs.push_back(std::move(run));
+    } else {
+      source.tail_records = s.num_records;
+      if (!s.compressed) {
+        source.tail = std::move(s.bytes);
+      } else if (!DecompressBlock(s.bytes, &source.tail)) {
+        throw std::runtime_error(
+            "proc worker: corrupt compressed shuffle segment");
+      }
+    }
+    std::string().swap(s.bytes);
+  }
 
   MemoryBudget budget(options.memory_budget_bytes);
   SpillStats spill_stats;
@@ -534,89 +557,20 @@ void RunWorkerReduceTask(WorkerConn& conn, std::string_view payload,
     record_bytes.append(key.data(), key.size());
     record_bytes.append(value.data(), value.size());
   };
-  auto handle_group = [&](std::string_view key,
-                          std::vector<std::string_view>& values) {
-    reduce_fn(static_cast<int>(reducer), key, values, emit);
-    progress.fetch_add(1, std::memory_order_relaxed);
-  };
+  RunReduceColumn(options, &budget, &spill_stats, std::move(sources),
+                  [&](std::string_view key,
+                      std::vector<std::string_view>& values) {
+                    reduce_fn(static_cast<int>(reducer), key, values, emit);
+                    progress.fetch_add(1, std::memory_order_relaxed);
+                  });
 
-  // Decoded tail buffers must stay put while views into them live in the
-  // merge sources / entry vectors — a deque never relocates its strings.
-  std::deque<std::string> tail_raws;
-  auto decode_tail = [&](Seg& s) -> const std::string& {
-    if (s.compressed) {
-      std::string raw;
-      if (!DecompressBlock(s.bytes, &raw)) {
-        throw std::runtime_error(
-            "proc worker: corrupt compressed shuffle segment");
-      }
-      tail_raws.push_back(std::move(raw));
-    } else {
-      tail_raws.push_back(std::move(s.bytes));
-    }
-    return tail_raws.back();
-  };
-
-  if (any_run) {
-    ExternalMergePlan plan(options.spill_dir, options.compress_spill,
-                           options.spill_merge_fan_in, &spill_stats, &budget);
-    for (Seg& s : segments) {
-      if (s.kind == kSegmentRun) {
-        // The shipped bytes are a complete spill run; materializing them
-        // into a SpillFile makes them a local run again, verbatim.
-        SpillFile run = SpillFile::Create(options.spill_dir);
-        run.Append(s.bytes.data(), s.bytes.size());
-        run.FinishWrite();
-        std::string().swap(s.bytes);
-        plan.AddRun(std::move(run));
-      } else {
-        const std::string& raw = decode_tail(s);
-        std::vector<std::pair<std::string_view, std::string_view>> tail;
-        for (const BucketEntry& entry : SortedBucketEntries(raw)) {
-          tail.emplace_back(entry.key, entry.value);
-        }
-        if (!tail.empty()) {
-          plan.AddSource(std::make_unique<InMemorySource>(std::move(tail)));
-        }
-      }
-    }
-    plan.MergeGroups(handle_group);
-  } else {
-    std::vector<BucketEntry> entries;
-    for (Seg& s : segments) {
-      const std::string& raw = decode_tail(s);
-      ShuffleBuffer::ForEachRecord(
-          raw, [&](std::string_view key, std::string_view value) {
-            entries.push_back(BucketEntry{key, value});
-          });
-    }
-    // Stable: within a key, values keep (map task, emit order) — the same
-    // sweep as the local engine's in-memory reduce path.
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const BucketEntry& a, const BucketEntry& b) {
-                       return a.key < b.key;
-                     });
-    std::vector<std::string_view> values;
-    size_t i = 0;
-    while (i < entries.size()) {
-      size_t j = i + 1;
-      while (j < entries.size() && entries[j].key == entries[i].key) ++j;
-      values.clear();
-      values.reserve(j - i);
-      for (size_t k = i; k < j; ++k) values.push_back(entries[k].value);
-      handle_group(entries[i].key, values);
-      i = j;
-    }
-  }
-
-  // Relaxed: spill stats were written by this task thread only.
+  DataflowMetrics task_metrics;
+  ReadSpillStats(spill_stats, &task_metrics);
   std::string done;
   PutVarint(&done, reducer);
-  PutVarint(&done, spill_stats.files.load(std::memory_order_relaxed));
-  PutVarint(&done, spill_stats.bytes_written.load(std::memory_order_relaxed));
-  PutVarint(&done, spill_stats.merge_passes.load(std::memory_order_relaxed));
   PutVarint(&done, num_records);
   done += record_bytes;
+  PutTaskMetrics(&done, task_metrics);
   // Same snapshot ordering as the map task: span closed, snapshot shipped,
   // then the done frame that commits the task on the coordinator.
   obs::EmitSpan("worker", "reduce_task", task_start_ns, obs::NowNs());
@@ -712,20 +666,6 @@ struct StoredSegment {
   }
 };
 
-// Raw per-task metrics reported in kMapDone.
-struct MapReport {
-  uint64_t map_output_records = 0;
-  uint64_t shuffle_records = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t shuffle_compressed_bytes = 0;
-  uint64_t spill_files = 0;
-  uint64_t spill_bytes_written = 0;
-  uint64_t spill_merge_passes = 0;
-  uint64_t input_storage_reads = 0;
-  uint64_t input_cache_hits = 0;
-  std::vector<uint64_t> reducer_bytes;
-};
-
 class Coordinator {
  public:
   Coordinator(size_t num_inputs, const MapFn& map_fn,
@@ -780,25 +720,13 @@ class Coordinator {
     }
     Cleanup();  // graceful shutdown while results are assembled below
 
+    // Round totals: the committed per-task counters of both phases (each
+    // slot holds the task's last committed attempt), then the
+    // coordinator's own failure-policy and transport counters.
     DataflowMetrics& m = result.metrics;
     m.reducer_bytes.assign(reduce_tasks_, 0);
-    for (const MapReport& report : map_reports_) {
-      m.map_output_records += report.map_output_records;
-      m.shuffle_records += report.shuffle_records;
-      m.shuffle_bytes += report.shuffle_bytes;
-      m.shuffle_compressed_bytes += report.shuffle_compressed_bytes;
-      m.spill_files += report.spill_files;
-      m.spill_bytes_written += report.spill_bytes_written;
-      m.spill_merge_passes += report.spill_merge_passes;
-      m.input_storage_reads += report.input_storage_reads;
-      m.input_cache_hits += report.input_cache_hits;
-      for (int r = 0; r < reduce_tasks_; ++r) {
-        m.reducer_bytes[r] += report.reducer_bytes[r];
-      }
-    }
-    m.spill_files += reduce_spill_files_;
-    m.spill_bytes_written += reduce_spill_bytes_;
-    m.spill_merge_passes += reduce_merge_passes_;
+    for (const DataflowMetrics& task : map_metrics_) m += task;
+    for (const DataflowMetrics& task : reduce_metrics_) m += task;
     m.proc_task_attempts = attempts_total_;
     m.proc_task_retries = retries_total_;
     m.proc_worker_kills = kills_;
@@ -1293,26 +1221,10 @@ class Coordinator {
       if (w.task < 0 || task != static_cast<uint64_t>(w.task)) {
         ProtocolError("map-done outside the worker's in-flight task");
       }
-      MapReport report;
-      RequireVarint(payload, &pos, &report.map_output_records, "map-done");
-      RequireVarint(payload, &pos, &report.shuffle_records, "map-done");
-      RequireVarint(payload, &pos, &report.shuffle_bytes, "map-done");
-      RequireVarint(payload, &pos, &report.shuffle_compressed_bytes,
-                    "map-done");
-      RequireVarint(payload, &pos, &report.spill_files, "map-done");
-      RequireVarint(payload, &pos, &report.spill_bytes_written, "map-done");
-      RequireVarint(payload, &pos, &report.spill_merge_passes, "map-done");
-      RequireVarint(payload, &pos, &report.input_storage_reads, "map-done");
-      RequireVarint(payload, &pos, &report.input_cache_hits, "map-done");
-      uint64_t num_reducers = 0;
-      RequireVarint(payload, &pos, &num_reducers, "map-done reducer count");
-      if (num_reducers != static_cast<uint64_t>(reduce_tasks_)) {
+      DataflowMetrics task_metrics = GetTaskMetrics(payload.substr(pos));
+      if (task_metrics.reducer_bytes.size() !=
+          static_cast<size_t>(reduce_tasks_)) {
         ProtocolError("map-done reducer count mismatch");
-      }
-      report.reducer_bytes.resize(reduce_tasks_);
-      for (int r = 0; r < reduce_tasks_; ++r) {
-        RequireVarint(payload, &pos, &report.reducer_bytes[r],
-                      "map-done reducer bytes");
       }
       // Commit: the task's segments become durable coordinator state, its
       // metrics enter the round totals, and the global shuffle budget is
@@ -1326,8 +1238,8 @@ class Coordinator {
         }
         w.staged.clear();
       }
-      map_reports_[w.task] = std::move(report);
-      committed_shuffle_bytes_ += map_reports_[w.task].shuffle_bytes;
+      committed_shuffle_bytes_ += task_metrics.shuffle_bytes;
+      map_metrics_[w.task] = std::move(task_metrics);
       if (options_.shuffle_budget_bytes > 0 &&
           committed_shuffle_bytes_ > options_.shuffle_budget_bytes) {
         throw ShuffleOverflowError(
@@ -1383,13 +1295,7 @@ class Coordinator {
     if (w.task < 0 || reducer != static_cast<uint64_t>(w.task)) {
       ProtocolError("reduce-done outside the worker's in-flight task");
     }
-    uint64_t spill_files = 0;
-    uint64_t spill_bytes = 0;
-    uint64_t merge_passes = 0;
     uint64_t num_records = 0;
-    RequireVarint(payload, &pos, &spill_files, "reduce-done");
-    RequireVarint(payload, &pos, &spill_bytes, "reduce-done");
-    RequireVarint(payload, &pos, &merge_passes, "reduce-done");
     RequireVarint(payload, &pos, &num_records, "reduce-done record count");
     std::vector<Record>& records = reduce_records_[reducer];
     records.clear();  // a re-executed task replaces, never appends
@@ -1410,9 +1316,7 @@ class Coordinator {
       pos += value_size;
       records.push_back(std::move(record));
     }
-    reduce_spill_files_ += spill_files;
-    reduce_spill_bytes_ += spill_bytes;
-    reduce_merge_passes_ += merge_passes;
+    reduce_metrics_[reducer] = GetTaskMetrics(payload.substr(pos));
     return true;
   }
 
@@ -1530,13 +1434,14 @@ class Coordinator {
   // store_[map task][reducer] -> committed segments, runs-then-tail per task.
   std::vector<std::vector<std::vector<StoredSegment>>> store_{
       static_cast<size_t>(map_tasks_)};
-  std::vector<MapReport> map_reports_{static_cast<size_t>(map_tasks_)};
+  // Committed task metrics, one slot per task: a re-executed task replaces
+  // its slot, so the round totals count each task exactly once.
+  std::vector<DataflowMetrics> map_metrics_{static_cast<size_t>(map_tasks_)};
+  std::vector<DataflowMetrics> reduce_metrics_{
+      static_cast<size_t>(reduce_tasks_)};
   std::vector<std::vector<Record>> reduce_records_{
       static_cast<size_t>(reduce_tasks_)};
   uint64_t committed_shuffle_bytes_ = 0;
-  uint64_t reduce_spill_files_ = 0;
-  uint64_t reduce_spill_bytes_ = 0;
-  uint64_t reduce_merge_passes_ = 0;
 
   // Failure-policy state.
   const char* phase_ = "map";
@@ -1556,6 +1461,35 @@ class Coordinator {
 };
 
 }  // namespace
+
+void PutTaskMetrics(std::string* out, const DataflowMetrics& metrics) {
+  for (uint64_t DataflowMetrics::*counter : kDataflowCounters) {
+    PutVarint(out, metrics.*counter);
+  }
+  PutVarint(out, metrics.reducer_bytes.size());
+  for (uint64_t bytes : metrics.reducer_bytes) PutVarint(out, bytes);
+}
+
+DataflowMetrics GetTaskMetrics(std::string_view bytes) {
+  DataflowMetrics metrics;
+  size_t pos = 0;
+  for (uint64_t DataflowMetrics::*counter : kDataflowCounters) {
+    RequireVarint(bytes, &pos, &(metrics.*counter), "task-metrics counter");
+  }
+  uint64_t num_reducers = 0;
+  RequireVarint(bytes, &pos, &num_reducers, "task-metrics reducer count");
+  // Every entry takes at least one byte: a count past the remaining bytes
+  // is truncation, caught before it sizes the vector.
+  if (num_reducers > bytes.size() - pos) {
+    ProtocolError("truncated task-metrics reducer bytes");
+  }
+  metrics.reducer_bytes.resize(num_reducers);
+  for (uint64_t& reducer_bytes : metrics.reducer_bytes) {
+    RequireVarint(bytes, &pos, &reducer_bytes, "task-metrics reducer bytes");
+  }
+  if (pos != bytes.size()) ProtocolError("trailing bytes after task metrics");
+  return metrics;
+}
 
 ProcRoundResult RunProcRound(size_t num_inputs, const MapFn& map_fn,
                              const CombinerFactory& combiner_factory,

@@ -17,10 +17,13 @@
 //      and commits its segments; the coordinator enforces the global
 //      shuffle budget on the committed sum.
 //   3. Reduce tasks replay each reducer's committed segments in map-task
-//      order — exactly the source order of the local reduce phase, so the
-//      stable merge (external when runs exist, sort-based otherwise) yields
-//      byte-identical groups and within-key value order. Boundary records
-//      come back in kReduceDone.
+//      order — exactly the source order of the local reduce phase — and the
+//      worker groups them with the local engine's own RunReduceColumn
+//      (external merge when runs exist, sort-based otherwise), so groups
+//      and within-key value order are byte-identical. Boundary records
+//      come back in kReduceDone. Both done frames end in one task-metrics
+//      record (PutTaskMetrics below); the coordinator keeps one slot per
+//      task and sums the slots with DataflowMetrics::operator+=.
 //
 // Failure policy (see README "Failure model & fault injection"):
 //
@@ -67,6 +70,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dataflow/chained.h"
@@ -123,6 +127,15 @@ struct ProcRoundResult {
   /// — the same flattening DataflowJob uses for the local backend.
   std::vector<Record> records;
 };
+
+/// The task-metrics record closing every kMapDone and kReduceDone frame:
+/// the kDataflowCounters in order, then varint(reducer_bytes size) and the
+/// entries, all varints. The seconds are not shipped — the coordinator
+/// times the phases itself. PutTaskMetrics appends one record;
+/// GetTaskMetrics decodes a view holding exactly one and throws
+/// std::runtime_error ("proc backend: ...") on truncated or trailing bytes.
+void PutTaskMetrics(std::string* out, const DataflowMetrics& metrics);
+DataflowMetrics GetTaskMetrics(std::string_view bytes);
 
 /// Runs one round on forked worker processes. `options` is honored like
 /// RunMapReduce honors it (workers, budgets, compression, partitioner,

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -105,6 +106,123 @@ TEST(FrameCodecTest, TruncatedFrameReportsNeedMore) {
   decoder.Append(std::string_view(wire).substr(wire.size() - 1));
   ASSERT_EQ(decoder.Next(&type, &payload), rpc::FrameDecoder::Status::kFrame);
   EXPECT_EQ(payload, "payload");
+}
+
+// --- Task metrics: operator+= and the done-frame codec ---------------------
+
+// Every counter set by name to a distinct value, so a counter missing from
+// kDataflowCounters fails the round trip below.
+DataflowMetrics DistinctCounters() {
+  DataflowMetrics m;
+  m.shuffle_bytes = 1;
+  m.shuffle_compressed_bytes = 2;
+  m.shuffle_records = 3;
+  m.map_output_records = 4;
+  m.spill_files = 5;
+  m.spill_bytes_written = 6;
+  m.spill_merge_passes = 7;
+  m.input_storage_reads = 8;
+  m.input_cache_hits = 9;
+  m.proc_task_attempts = 10;
+  m.proc_task_retries = 11;
+  m.proc_worker_kills = 12;
+  m.proc_workers_respawned = 13;
+  m.proc_segment_chunks = 14;
+  m.proc_parked_tails = uint64_t{1} << 40;  // multi-byte varint
+  m.reducer_bytes = {0, 300, uint64_t{1} << 35};
+  return m;
+}
+
+void ExpectSameCounters(const DataflowMetrics& a, const DataflowMetrics& b) {
+  EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+  EXPECT_EQ(a.shuffle_compressed_bytes, b.shuffle_compressed_bytes);
+  EXPECT_EQ(a.shuffle_records, b.shuffle_records);
+  EXPECT_EQ(a.map_output_records, b.map_output_records);
+  EXPECT_EQ(a.spill_files, b.spill_files);
+  EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
+  EXPECT_EQ(a.spill_merge_passes, b.spill_merge_passes);
+  EXPECT_EQ(a.input_storage_reads, b.input_storage_reads);
+  EXPECT_EQ(a.input_cache_hits, b.input_cache_hits);
+  EXPECT_EQ(a.proc_task_attempts, b.proc_task_attempts);
+  EXPECT_EQ(a.proc_task_retries, b.proc_task_retries);
+  EXPECT_EQ(a.proc_worker_kills, b.proc_worker_kills);
+  EXPECT_EQ(a.proc_workers_respawned, b.proc_workers_respawned);
+  EXPECT_EQ(a.proc_segment_chunks, b.proc_segment_chunks);
+  EXPECT_EQ(a.proc_parked_tails, b.proc_parked_tails);
+  EXPECT_EQ(a.reducer_bytes, b.reducer_bytes);
+}
+
+// Expects `bytes` to be rejected as a task-metrics record with the proc
+// backend's protocol error.
+void ExpectRejected(std::string_view bytes) {
+  try {
+    GetTaskMetrics(bytes);
+    ADD_FAILURE() << "accepted a malformed record of " << bytes.size()
+                  << " bytes";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string_view(e.what()).substr(0, 13), "proc backend:")
+        << e.what();
+  }
+}
+
+TEST(TaskMetricsTest, EveryCounterRoundTripsThroughTheCodec) {
+  DataflowMetrics sent = DistinctCounters();
+  sent.map_seconds = 1.5;  // not shipped: the coordinator times phases
+  std::string wire;
+  PutTaskMetrics(&wire, sent);
+  DataflowMetrics received = GetTaskMetrics(wire);
+  ExpectSameCounters(received, sent);
+  EXPECT_EQ(received.map_seconds, 0.0);
+
+  // A record with no reducer entries (the reduce-done shape) round-trips
+  // too.
+  wire.clear();
+  PutTaskMetrics(&wire, DataflowMetrics{});
+  EXPECT_TRUE(GetTaskMetrics(wire).reducer_bytes.empty());
+}
+
+TEST(TaskMetricsTest, PlusEqualsSumsFieldwiseAndReducerBytesElementwise) {
+  DataflowMetrics total;
+  total.map_seconds = 0.25;
+  total.reduce_seconds = 0.5;
+  total.reducer_bytes = {1, 2};
+  DataflowMetrics round = DistinctCounters();
+  round.map_seconds = 1.0;
+  round.reduce_seconds = 2.0;
+  total += round;
+  EXPECT_EQ(total.map_seconds, 1.25);
+  EXPECT_EQ(total.reduce_seconds, 2.5);
+  DataflowMetrics expected = DistinctCounters();
+  expected.reducer_bytes = {1, 302, uint64_t{1} << 35};  // grown to 3
+  ExpectSameCounters(total, expected);
+
+  // A shorter right-hand side adds into the prefix and leaves the rest.
+  total += DistinctCounters();
+  DataflowMetrics shorter;
+  shorter.reducer_bytes = {10};
+  total += shorter;
+  EXPECT_EQ(total.shuffle_bytes, 2u);
+  EXPECT_EQ(total.proc_parked_tails, uint64_t{2} << 40);
+  EXPECT_EQ(total.reducer_bytes,
+            (std::vector<uint64_t>{11, 602, uint64_t{2} << 35}));
+}
+
+TEST(TaskMetricsTest, TruncatedAndTrailingBytesAreRejected) {
+  std::string wire;
+  PutTaskMetrics(&wire, DistinctCounters());
+  for (size_t n = 0; n < wire.size(); ++n) {
+    ExpectRejected(std::string_view(wire).substr(0, n));
+  }
+  ExpectRejected(wire + '\0');
+  ExpectRejected(wire + wire);
+
+  // A reducer count larger than the bytes left fails before it sizes the
+  // vector.
+  std::string hostile;
+  PutTaskMetrics(&hostile, DataflowMetrics{});
+  hostile.pop_back();  // drop the empty reducer count
+  PutVarint(&hostile, uint64_t{1} << 60);
+  ExpectRejected(hostile);
 }
 
 // --- Backend equivalence ----------------------------------------------------
