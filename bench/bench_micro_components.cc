@@ -1,8 +1,9 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, NFA
-// minimization/serialization, varint coding, the map-side combiners (the
-// zero-copy shuffle hot path), the shuffle block codec, and the external
-// spill-run merger (the out-of-core reduce path).
+// minimization/serialization, varint coding, D-SEQ's local mining and its
+// whole partition reduce, the map-side combiners (the zero-copy shuffle hot
+// path), the shuffle block codec, and the external spill-run merger (the
+// out-of-core reduce path).
 //
 // Self-contained harness — no google-benchmark dependency — so the binary
 // always builds and CI can track regressions. Each benchmark runs until a
@@ -124,6 +125,14 @@ const Fst& N4Fst() {
   return fst;
 }
 
+// Tab. III N5: three alternative generalized positions, so output sets are
+// wide and a pivot cap drops many of their items.
+const Fst& N5Fst() {
+  static Fst fst =
+      CompileFst(".* ([.^. .]|[. .^.]|[. . .^]) .*", Corpus().dict);
+  return fst;
+}
+
 // Deterministic weighted-value records for the map+combine microbench: 64
 // distinct pivot keys, payloads from a pool of 512 short serialized
 // sequences, varint weight prefix. The workload of the D-SEQ aggregation
@@ -188,14 +197,14 @@ void BenchGridBuild() {
   });
 }
 
-std::vector<StateGrid> BuildGrids(size_t count) {
+std::vector<StateGrid> BuildGrids(size_t count, const Fst& fst = N4Fst()) {
   const SequenceDatabase& db = Corpus();
   GridOptions options;
   options.prune_sigma = 10;
   std::vector<StateGrid> grids;
   for (size_t i = 0; i < count && i < db.size(); ++i) {
     grids.push_back(
-        StateGrid::Build(db.sequences[i], N4Fst(), db.dict, options));
+        StateGrid::Build(db.sequences[i], fst, db.dict, options));
   }
   return grids;
 }
@@ -426,24 +435,63 @@ void BenchDesqDfsSmall() {
   });
 }
 
-void BenchDfsMinePartition() {
-  // D-SEQ's reduce-side local mining: pivot-restricted DESQ-DFS over the
-  // 64 BuildGrids grids, with the pivot that most of them can produce.
-  std::vector<StateGrid> grids = BuildGrids(64);
+// The pivot that most of `grids` can produce (kNoItem if none can).
+ItemId MostCommonPivot(const std::vector<StateGrid>& grids) {
   std::map<ItemId, size_t> pivot_counts;
   for (const StateGrid& grid : grids) {
     for (ItemId k : FindPivotItems(grid)) ++pivot_counts[k];
   }
-  if (pivot_counts.empty()) return;
+  if (pivot_counts.empty()) return kNoItem;
+  return std::max_element(pivot_counts.begin(), pivot_counts.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.second < b.second;
+                          })
+      ->first;
+}
+
+void BenchDfsMinePartition() {
+  // D-SEQ's reduce-side local mining: pivot-restricted DESQ-DFS over the
+  // 64 BuildGrids grids, with the pivot that most of them can produce.
+  std::vector<StateGrid> grids = BuildGrids(64);
   DesqDfsOptions options;
   options.sigma = 2;
-  options.pivot = std::max_element(pivot_counts.begin(), pivot_counts.end(),
-                                   [](const auto& a, const auto& b) {
-                                     return a.second < b.second;
-                                   })
-                      ->first;
+  options.pivot = MostCommonPivot(grids);
+  if (options.pivot == kNoItem) return;
   RunBench("dfs_mine_partition", 0, [&] {
     MiningResult result = MineDesqDfsGrids(grids, options);
+    volatile size_t sink = result.size();
+    (void)sink;
+  });
+}
+
+void BenchDSeqReducePartition() {
+  // One D-SEQ partition's whole reduce body (MineDSeqPartition): decode the
+  // shuffled values, build their grids capped at the pivot, and mine them.
+  // Under N5, whose wide output sets the cap trims, the partition holds
+  // ρk(T) of each of the 64 BuildGrids sequences whose K(T) contains the
+  // pivot most of them can produce, as the map side ships it. Grids are
+  // σ-pruned at 10 as in BuildGrids and mined at σ = 2 as in
+  // dfs_mine_partition.
+  const SequenceDatabase& db = Corpus();
+  std::vector<StateGrid> grids = BuildGrids(64, N5Fst());
+  ItemId pivot = MostCommonPivot(grids);
+  if (pivot == kNoItem) return;
+  std::vector<std::string> shuffled;
+  for (size_t i = 0; i < grids.size(); ++i) {
+    if (!grids[i].HasAcceptingRun()) continue;
+    PivotRewriter rewriter(db.sequences[i], grids[i]);
+    const Sequence& pivots = rewriter.pivots();
+    if (!std::binary_search(pivots.begin(), pivots.end(), pivot)) continue;
+    std::string value;
+    PutSequence(&value, rewriter.Rewrite(pivot));
+    shuffled.push_back(std::move(value));
+  }
+  std::vector<std::string_view> values(shuffled.begin(), shuffled.end());
+  DSeqOptions options;
+  options.sigma = 10;
+  RunBench("dseq_reduce_partition", values.size(), [&] {
+    MiningResult result =
+        MineDSeqPartition(values, pivot, 2, N5Fst(), db.dict, options);
     volatile size_t sink = result.size();
     (void)sink;
   });
@@ -524,6 +572,7 @@ int main(int argc, char** argv) {
   BenchExternalMerge();
   BenchDesqDfsSmall();
   BenchDfsMinePartition();
+  BenchDSeqReducePartition();
   BenchTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;

@@ -1,10 +1,11 @@
 // Regenerates the checked-in seed corpora under fuzz/corpus/<target>/.
 //
 // Seeds are produced by the real encoders (PutVarint/PutSequence,
-// SerializeNfa, CompressBlock, SpillWriter), so every fuzz target starts
-// from well-formed inputs that reach deep into its decoder before the
-// fuzzer begins mutating — plus a few deliberately malformed inputs that
-// pin the rejection paths. Usage: make_fuzz_corpus <corpus root>.
+// SerializeNfa, CompressBlock, SpillWriter) or are the paper's own pattern
+// expressions, so every fuzz target starts from well-formed inputs that
+// reach deep into its decoder before the fuzzer begins mutating — plus a
+// few deliberately malformed inputs that pin the rejection paths. Usage:
+// make_fuzz_corpus <corpus root>.
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/nfa/output_nfa.h"
@@ -174,6 +176,29 @@ void SpillRunSeeds() {
   WriteSeed("fuzz_spill_run", "flag_mismatch", "\x01" + raw_run);
 }
 
+// Pattern expressions: the paper's nine Tab. III constraints, and nesting
+// just under, at and just over kMaxPatexNesting.
+void PatexSeeds() {
+  const std::pair<const char*, const char*> tab3[] = {
+      {"tab3_n1", ".* ENTITY (VERB+ NOUN+? PREP?) ENTITY .*"},
+      {"tab3_n2", ".* (ENTITY^ VERB+ NOUN+? PREP? ENTITY^) .*"},
+      {"tab3_n3", ".* (ENTITY^ be^=) DET? (ADV? ADJ? NOUN) .*"},
+      {"tab3_n4", ".* (.^){3} NOUN .*"},
+      {"tab3_n5", ".* ([.^. .]|[. .^.]|[. . .^]) .*"},
+      {"tab3_a1", ".*(Electr^)[.{0,2}(Electr^)]{1,4}.*"},
+      {"tab3_a2", ".*(Book)[.{0,2}(Book)]{1,4}.*"},
+      {"tab3_a3", ".*DigitalCamera[.{0,3}(.^)]{1,4}.*"},
+      {"tab3_a4", ".*(MusicInstr^)[.{0,2}(MusicInstr^)]{1,4}.*"},
+  };
+  for (const auto& [name, pattern] : tab3) {
+    WriteSeed("fuzz_patex", name, pattern);
+  }
+  for (int depth : {999, 1000, 1001}) {
+    WriteSeed("fuzz_patex", "nest_" + std::to_string(depth),
+              std::string(depth, '[') + "." + std::string(depth, ']'));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,5 +213,6 @@ int main(int argc, char** argv) {
   BlockCodecSeeds();
   SpillRunSeeds();
   RpcFrameSeeds();
+  PatexSeeds();
   return 0;
 }

@@ -13,6 +13,10 @@
 //  * only sequences containing the pivot item are output,
 //  * early stopping: a sequence no longer extends a pivot-free prefix once
 //    its last position that can produce the pivot item has passed.
+// D-SEQ's reduce (MineDSeqPartition) builds its grids capped at the pivot
+// (GridOptions::max_output_item), so they hold no larger item at all; the
+// per-item "larger than the pivot" check stays for callers that pass
+// uncapped grids, such as MineDesqDfs with a pivot.
 #ifndef DSEQ_CORE_DESQ_DFS_H_
 #define DSEQ_CORE_DESQ_DFS_H_
 

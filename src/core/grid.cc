@@ -18,6 +18,43 @@ struct RawEdge {
   uint32_t length;
 };
 
+// Build's temporaries. One per thread, reused across builds: clearing keeps
+// the capacity, so once a thread's scratch has grown to its largest grid a
+// build allocates only the grid's own arrays.
+struct BuildScratch {
+  std::vector<RawEdge> raw;
+  std::vector<size_t> layer_begin;  // layer i is raw[layer_begin[i], [i+1])
+  std::vector<ItemId> pool;         // output sets of `raw`
+  std::vector<uint8_t> keep;        // raw edge survives the backward prune
+  Sequence out;                     // one transition's output set
+};
+
+BuildScratch& ThreadScratch() {
+  thread_local BuildScratch scratch;
+  return scratch;
+}
+
+// Applies GridOptions' output filters to one output set: the cap
+// max_output_item, then σ-pruning. Output sets are sorted, so the cap cuts
+// a suffix.
+void FilterOutput(const GridOptions& options, const Dictionary& dict,
+                  Sequence* out) {
+  if (options.max_output_item != kNoItem) {
+    DSEQ_DCHECK(std::is_sorted(out->begin(), out->end()));
+    out->erase(
+        std::upper_bound(out->begin(), out->end(), options.max_output_item),
+        out->end());
+  }
+  if (options.prune_sigma > 0) {
+    out->erase(std::remove_if(out->begin(), out->end(),
+                              [&](ItemId w) {
+                                return dict.DocFrequency(w) <
+                                       options.prune_sigma;
+                              }),
+               out->end());
+  }
+}
+
 }  // namespace
 
 StateGrid::StateGrid(const StateGrid& other)
@@ -64,9 +101,14 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
   grid.forward_active_.assign((n + 1) * ns, 0);
   std::vector<uint8_t>& active = grid.forward_active_;
   active[fst.initial()] = 1;
-  std::vector<RawEdge> raw;
-  std::vector<size_t> layer_begin(n + 1, 0);
-  std::vector<ItemId> pool;
+  BuildScratch& scratch = ThreadScratch();
+  std::vector<RawEdge>& raw = scratch.raw;
+  std::vector<size_t>& layer_begin = scratch.layer_begin;
+  std::vector<ItemId>& pool = scratch.pool;
+  Sequence& out = scratch.out;
+  raw.clear();
+  layer_begin.assign(n + 1, 0);
+  pool.clear();
   auto out_less = [&pool](const RawEdge& a, const RawEdge& b) {
     return std::lexicographical_compare(
         pool.begin() + a.offset, pool.begin() + a.offset + a.length,
@@ -77,7 +119,7 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
         pool.begin() + a.offset, pool.begin() + a.offset + a.length,
         pool.begin() + b.offset, pool.begin() + b.offset + b.length);
   };
-  Sequence out;
+  bool filters = options.prune_sigma > 0 || options.max_output_item != kNoItem;
   for (size_t i = 0; i < n; ++i) {
     ItemId t = T[i];
     layer_begin[i] = raw.size();
@@ -86,16 +128,11 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
       for (const Transition& tr : fst.From(q)) {
         if (!fst.Matches(tr, t, dict)) continue;
         fst.ComputeOutput(tr, t, dict, &out);
-        if (options.prune_sigma > 0 && !out.empty()) {
-          out.erase(std::remove_if(out.begin(), out.end(),
-                                   [&](ItemId w) {
-                                     return dict.DocFrequency(w) <
-                                            options.prune_sigma;
-                                   }),
-                    out.end());
-          // Non-ε transition with no frequent output item: no σ-candidate
-          // can use this edge.
-          if (out.empty() && tr.out_kind != OutputKind::kEpsilon) continue;
+        if (filters && !out.empty()) {
+          FilterOutput(options, dict, &out);
+          // Non-ε transition with no output item left: no candidate made
+          // of kept items can use this edge.
+          if (out.empty()) continue;
         }
         active[(i + 1) * ns + tr.to] = 1;
         raw.push_back(RawEdge{q, tr.to, static_cast<uint32_t>(pool.size()),
@@ -130,7 +167,8 @@ StateGrid StateGrid::Build(const Sequence& T, const Fst& fst,
     }
   }
   if (!grid.accepting_) return grid;
-  std::vector<uint8_t> keep(raw.size(), 0);
+  std::vector<uint8_t>& keep = scratch.keep;
+  keep.assign(raw.size(), 0);
   size_t num_kept = 0;
   size_t num_items = 0;
   for (size_t i = n; i-- > 0;) {

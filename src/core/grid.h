@@ -77,6 +77,15 @@ struct GridOptions {
   /// A non-ε edge whose output set becomes empty is dropped entirely: no
   /// candidate made of frequent items can traverse it.
   uint64_t prune_sigma = 0;
+
+  /// If not kNoItem, items larger than this are removed from output sets,
+  /// and a non-ε edge left empty is dropped, as for prune_sigma. D-SEQ's
+  /// reduce caps each partition P_k's grids at its pivot k: a pivot-k
+  /// pattern holds no item larger than k, so every run that produces one
+  /// survives the cap unchanged, while edges that can only produce larger
+  /// items, and the coordinates only they keep alive, are gone before
+  /// DESQ-DFS walks the grid.
+  ItemId max_output_item = kNoItem;
 };
 
 /// Layered DAG of live FST simulation coordinates for one input sequence.
@@ -95,7 +104,11 @@ class StateGrid {
   StateGrid(StateGrid&&) noexcept = default;
   StateGrid& operator=(StateGrid&&) noexcept = default;
 
-  /// Builds the pruned grid for `T` under `fst`.
+  /// Builds the pruned grid for `T` under `fst`. The build's temporary
+  /// arrays (raw edges, layer offsets, item pool, keep flags) live in a
+  /// per-thread scratch that is reused across calls, so a thread's scratch
+  /// holds at most the high-water mark of the largest grid it has built.
+  /// Building on many threads at once is safe; each uses its own scratch.
   static StateGrid Build(const Sequence& T, const Fst& fst,
                          const Dictionary& dict, const GridOptions& options = {});
 

@@ -125,6 +125,38 @@ Sequence PivotRewriter::Rewrite(ItemId pivot) const {
 
 // --- The miner -------------------------------------------------------------
 
+MiningResult MineDSeqPartition(const std::vector<std::string_view>& values,
+                               ItemId pivot, uint64_t sigma, const Fst& fst,
+                               const Dictionary& dict,
+                               const DSeqOptions& options) {
+  GridOptions grid_options;
+  grid_options.prune_sigma = options.sigma;
+  grid_options.max_output_item = pivot;
+  std::vector<StateGrid> grids;
+  std::vector<uint64_t> weights;
+  grids.reserve(values.size());
+  weights.reserve(values.size());
+  Sequence seq;
+  for (std::string_view v : values) {
+    size_t pos = 0;
+    uint64_t weight = 1;
+    if (options.aggregate_sequences && !GetVarint(v, &pos, &weight)) {
+      throw std::invalid_argument("malformed weighted shuffle record");
+    }
+    if (!GetSequence(v, &pos, &seq) || pos != v.size()) {
+      throw std::invalid_argument("malformed D-SEQ shuffle record");
+    }
+    grids.push_back(StateGrid::Build(seq, fst, dict, grid_options));
+    weights.push_back(weight);
+  }
+
+  DesqDfsOptions local;
+  local.sigma = sigma;
+  local.pivot = pivot;
+  local.early_stop = options.early_stop;
+  return MineDesqDfsGrids(grids, weights, local);
+}
+
 namespace {
 
 // Map/reduce phases shared by the single-round miner, the chained recount
@@ -185,52 +217,15 @@ MapFn MakeDSeqMapFn(const std::vector<Sequence>& db, const Fst& fst,
   };
 }
 
-// Deserializes one partition's shuffled (possibly weighted) sequences into
-// σ-pruned grids — the shared front half of every D-SEQ reduce.
-void BuildPartitionGrids(const std::vector<std::string_view>& values,
-                         const Fst& fst, const Dictionary& dict,
-                         const GridOptions& grid_options,
-                         bool aggregate_sequences,
-                         std::vector<StateGrid>* grids,
-                         std::vector<uint64_t>* weights) {
-  grids->reserve(values.size());
-  weights->reserve(values.size());
-  Sequence seq;
-  for (std::string_view v : values) {
-    size_t pos = 0;
-    uint64_t weight = 1;
-    if (aggregate_sequences && !GetVarint(v, &pos, &weight)) {
-      throw std::invalid_argument("malformed weighted shuffle record");
-    }
-    if (!GetSequence(v, &pos, &seq) || pos != v.size()) {
-      throw std::invalid_argument("malformed D-SEQ shuffle record");
-    }
-    grids->push_back(StateGrid::Build(seq, fst, dict, grid_options));
-    weights->push_back(weight);
-  }
-}
-
 PartitionReduceFn MakeDSeqReduceFn(const Fst& fst, const Dictionary& dict,
                                    const DSeqOptions& options) {
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-
-  return [&fst, &dict, &options, grid_options](
-             std::string_view key, std::vector<std::string_view>& values,
-             MiningResult& out) {
-    ItemId pivot = DecodePivotKey(key);
-    std::vector<StateGrid> grids;
-    std::vector<uint64_t> weights;
-    BuildPartitionGrids(values, fst, dict, grid_options,
-                        options.aggregate_sequences, &grids, &weights);
-
-    DesqDfsOptions local;
-    local.sigma = options.sigma;
-    local.pivot = pivot;
-    local.early_stop = options.early_stop;
-    MiningResult local_result = MineDesqDfsGrids(grids, weights, local);
-    out.insert(out.end(), std::make_move_iterator(local_result.begin()),
-               std::make_move_iterator(local_result.end()));
+  return [&fst, &dict, &options](std::string_view key,
+                                 std::vector<std::string_view>& values,
+                                 MiningResult& out) {
+    MiningResult local = MineDSeqPartition(values, DecodePivotKey(key),
+                                           options.sigma, fst, dict, options);
+    out.insert(out.end(), std::make_move_iterator(local.begin()),
+               std::make_move_iterator(local.end()));
   };
 }
 
@@ -292,9 +287,6 @@ ChainedDistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
   chained.partitioner = plan.MakePartitioner();
   DataflowJob job(chained);
 
-  GridOptions grid_options;
-  grid_options.prune_sigma = options.sigma;
-
   // Mining round. Unsplit partitions finish here exactly as in MineDSeq.
   // Sub-partitions of a split pivot see only a slice of the pivot's
   // sequences, so their local support proves nothing about σ — they mine at
@@ -309,16 +301,9 @@ ChainedDistributedResult MineDSeqBalanced(const std::vector<Sequence>& db,
                              std::vector<std::string_view>& values,
                              const EmitFn& emit) {
     PivotKeyParts parts = DecodePivotKeyParts(key);
-    std::vector<StateGrid> grids;
-    std::vector<uint64_t> weights;
-    BuildPartitionGrids(values, fst, dict, grid_options,
-                        options.aggregate_sequences, &grids, &weights);
-
-    DesqDfsOptions local;
-    local.pivot = parts.pivot;
-    local.early_stop = options.early_stop;
-    local.sigma = parts.subpartition < 0 ? options.sigma : 1;
-    MiningResult local_result = MineDesqDfsGrids(grids, weights, local);
+    MiningResult local_result = MineDSeqPartition(
+        values, parts.pivot, parts.subpartition < 0 ? options.sigma : 1, fst,
+        dict, options);
     const char tag = parts.subpartition < 0 ? 'F' : 'S';
     std::string k;
     std::string v;

@@ -17,6 +17,7 @@
 #define DSEQ_DIST_DSEQ_MINER_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "src/core/desq_dfs.h"
@@ -82,6 +83,19 @@ class PivotRewriter {
   std::vector<Trim> trims_;  // parallel to pivots_
   Trim default_trim_;        // for items that are not pivots
 };
+
+/// The reduce body of one D-SEQ partition P_pivot (paper Sec. V-C), shared
+/// by MineDSeq, MineDSeqRecount and MineDSeqBalanced: decodes the
+/// partition's shuffled sequences (weight-prefixed under
+/// options.aggregate_sequences), builds their grids σ-pruned at
+/// options.sigma and capped at `pivot` (GridOptions::max_output_item), and
+/// mines them with pivot-restricted DESQ-DFS at threshold `sigma`:
+/// options.sigma, or 1 for a split sub-partition whose local supports are
+/// summed later. Throws std::invalid_argument on a malformed record.
+MiningResult MineDSeqPartition(const std::vector<std::string_view>& values,
+                               ItemId pivot, uint64_t sigma, const Fst& fst,
+                               const Dictionary& dict,
+                               const DSeqOptions& options);
 
 /// Runs D-SEQ. `db` must be fid-recoded with `dict`'s frequencies (the state
 /// SequenceDatabase::Recode leaves behind).

@@ -3,8 +3,9 @@
 // hammer). Each test drives a shared-state hot spot from many threads at
 // once: the ParallelWorkers/ParallelShards thread pool, concurrent
 // ShuffleBuffer arena writes against the process-wide live-bytes gauge,
-// MemoryBudget charge/release contention, and budget-contended spill where
-// many map workers fight over one tiny budget and spill concurrently.
+// MemoryBudget charge/release contention, budget-contended spill where
+// many map workers fight over one tiny budget and spill concurrently, and
+// StateGrid::Build's per-thread scratch under concurrent builds.
 //
 // The assertions are deliberately coarse (counters add up, gauge returns to
 // baseline, spilled results byte-identical) — the real assertions are the
@@ -20,11 +21,13 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/grid.h"
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/spill/memory_budget.h"
 #include "src/util/sync.h"
 #include "src/util/thread_pool.h"
+#include "src/fst/compiler.h"
 #include "src/util/varint.h"
 #include "tests/test_util.h"
 
@@ -247,6 +250,56 @@ TEST(SpillContentionStressTest, ManyWorkersSpillingUnderOneTinyBudget) {
     ASSERT_EQ(got, want);
   }
   // ScopedTempDir asserts RAII hygiene (no leftover spill files) on exit.
+}
+
+// --- Grid-build scratch -----------------------------------------------------
+
+// A grid's edges as plain values (from, to, output items), layer by layer.
+std::vector<std::vector<ItemId>> GridEdges(const StateGrid& grid) {
+  std::vector<std::vector<ItemId>> edges;
+  for (size_t i = 0; i < grid.length(); ++i) {
+    for (const StateGrid::Edge& e : grid.EdgesAt(i)) {
+      std::vector<ItemId> edge = {static_cast<ItemId>(i), e.from, e.to};
+      edge.insert(edge.end(), e.out.begin(), e.out.end());
+      edges.push_back(std::move(edge));
+    }
+  }
+  return edges;
+}
+
+TEST(GridScratchStressTest, ConcurrentBuildsMatchSequentialBuilds) {
+  // Four threads build grids of very different sizes at once, each through
+  // its own per-thread scratch; every result must equal the sequential one.
+  SequenceDatabase db = testing::RandomDatabase(23, 8, 40, 8);
+  std::vector<Sequence> inputs = db.sequences;
+  Sequence long_seq;
+  for (const Sequence& T : db.sequences) {
+    long_seq.insert(long_seq.end(), T.begin(), T.end());
+  }
+  inputs.push_back(long_seq);
+  Fst fst = CompileFst(".*(.^)[.{0,1}(.^)]{1,2}.*", db.dict);
+  GridOptions options;
+  options.prune_sigma = 2;
+  std::vector<std::vector<std::vector<ItemId>>> want;
+  for (const Sequence& T : inputs) {
+    want.push_back(GridEdges(StateGrid::Build(T, fst, db.dict, options)));
+  }
+  const int rounds = StressIterations(20);
+  std::atomic<int> mismatches{0};
+  ParallelWorkers(4, [&](int w) {
+    for (int round = 0; round < rounds; ++round) {
+      for (size_t j = 0; j < inputs.size(); ++j) {
+        // Each worker walks the inputs from a different offset, so long and
+        // short builds interleave across threads.
+        size_t s = (j + static_cast<size_t>(w) * 11) % inputs.size();
+        if (GridEdges(StateGrid::Build(inputs[s], fst, db.dict, options)) !=
+            want[s]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "src/core/pivot.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
 #include "tests/test_util.h"
@@ -163,6 +166,57 @@ TEST_P(DesqDfsPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomizedDesqDfs, DesqDfsPropertyTest,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::ValuesIn(testing::PropertyPatterns())));
+
+// Property: capping the grids at the pivot (what D-SEQ's reduce does)
+// never changes what pivot-restricted DESQ-DFS mines, for every pivot k of
+// every sequence, with and without early stopping.
+class DesqDfsCapPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+
+TEST_P(DesqDfsCapPropertyTest, CappedGridsMineLikeUncapped) {
+  auto [seed, pattern] = GetParam();
+  SequenceDatabase db = testing::RandomDatabase(seed + 100, 8, 40, 8);
+  Fst fst = CompileFst(pattern, db.dict);
+  size_t patterns = 0;
+  for (uint64_t sigma : {1, 2, 3}) {
+    GridOptions options;
+    options.prune_sigma = sigma;
+    std::vector<StateGrid> uncapped;
+    std::set<ItemId> pivots;
+    for (const Sequence& T : db.sequences) {
+      uncapped.push_back(StateGrid::Build(T, fst, db.dict, options));
+      for (ItemId k : FindPivotItems(uncapped.back())) pivots.insert(k);
+    }
+    for (ItemId k : pivots) {
+      GridOptions capped_options = options;
+      capped_options.max_output_item = k;
+      std::vector<StateGrid> capped;
+      for (const Sequence& T : db.sequences) {
+        capped.push_back(StateGrid::Build(T, fst, db.dict, capped_options));
+      }
+      for (bool early_stop : {true, false}) {
+        DesqDfsOptions local;
+        local.sigma = sigma;
+        local.pivot = k;
+        local.early_stop = early_stop;
+        MiningResult expected = MineDesqDfsGrids(uncapped, local);
+        MiningResult actual = MineDesqDfsGrids(capped, local);
+        EXPECT_EQ(actual, expected)
+            << "pattern=" << pattern << " sigma=" << sigma << " pivot=" << k
+            << " early_stop=" << early_stop << "\nactual:\n"
+            << testing::Format(actual, db.dict) << "expected:\n"
+            << testing::Format(expected, db.dict);
+        patterns += expected.size();
+      }
+    }
+  }
+  EXPECT_GT(patterns, 0u) << pattern;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomizedDesqDfs, DesqDfsCapPropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 3),
                        ::testing::ValuesIn(testing::PropertyPatterns())));
 

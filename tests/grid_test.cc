@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "src/core/candidates.h"
+#include "src/core/pivot.h"
 #include "src/datagen/market_baskets.h"
 #include "src/datagen/text_corpus.h"
 #include "src/dict/sequence.h"
@@ -181,6 +183,100 @@ size_t ExpectFlatLayout(const Sequence& T, const Fst& fst,
   EXPECT_EQ(LayersOf(grid), ReferenceLayers(T, fst, dict, prune_sigma))
       << context;
   return grid.num_edges();
+}
+
+// What capping `uncapped` at `cap` must leave, computed from the uncapped
+// grid's layers: output items above the cap removed, a non-ε edge left
+// empty dropped, each layer re-sorted and deduplicated (filtering can merge
+// edges), then pruned to the edges of complete runs. Both directions
+// matter: a dropped edge can strand coordinates it alone reached, as well
+// as coordinates it alone connected to an accepting one.
+struct CappedReference {
+  PlainLayers layers;
+  bool accepting = false;
+  std::vector<uint8_t> alive;  // (length + 1) x num_states
+};
+
+CappedReference CapReference(const StateGrid& uncapped, ItemId cap) {
+  size_t n = uncapped.length();
+  size_t ns = uncapped.num_states();
+  CappedReference ref;
+  ref.layers = LayersOf(uncapped);
+  for (std::vector<PlainEdge>& layer : ref.layers) {
+    std::vector<PlainEdge> kept;
+    for (PlainEdge e : layer) {
+      bool was_epsilon = e.out.empty();
+      e.out.erase(std::upper_bound(e.out.begin(), e.out.end(), cap),
+                  e.out.end());
+      if (!was_epsilon && e.out.empty()) continue;
+      kept.push_back(std::move(e));
+    }
+    std::sort(kept.begin(), kept.end());
+    kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    layer = std::move(kept);
+  }
+  ref.alive.assign((n + 1) * ns, 0);
+  if (!uncapped.HasAcceptingRun()) return ref;
+  std::vector<uint8_t> reached((n + 1) * ns, 0);
+  reached[uncapped.initial_state()] = 1;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<PlainEdge> kept;
+    for (const PlainEdge& e : ref.layers[i]) {
+      if (!reached[i * ns + e.from]) continue;
+      reached[(i + 1) * ns + e.to] = 1;
+      kept.push_back(e);
+    }
+    ref.layers[i] = std::move(kept);
+  }
+  for (StateId q = 0; q < ns; ++q) {
+    ref.alive[n * ns + q] = reached[n * ns + q] && uncapped.IsFinalState(q);
+  }
+  for (size_t i = n; i-- > 0;) {
+    std::vector<PlainEdge> kept;
+    for (const PlainEdge& e : ref.layers[i]) {
+      if (!ref.alive[(i + 1) * ns + e.to]) continue;
+      ref.alive[i * ns + e.from] = 1;
+      kept.push_back(e);
+    }
+    ref.layers[i] = std::move(kept);
+  }
+  ref.accepting = ref.alive[uncapped.initial_state()] != 0;
+  if (!ref.accepting) {
+    ref.layers.assign(n, {});
+    std::fill(ref.alive.begin(), ref.alive.end(), 0);
+  }
+  return ref;
+}
+
+// Builds `T` with `options` capped at every pivot k ∈ K(T) and checks each
+// capped grid against CapReference. Returns the number of caps checked.
+size_t ExpectCapsMatchReference(const Sequence& T, const Fst& fst,
+                                const Dictionary& dict,
+                                const GridOptions& options,
+                                const std::string& context) {
+  StateGrid uncapped = StateGrid::Build(T, fst, dict, options);
+  size_t checked = 0;
+  for (ItemId k : FindPivotItems(uncapped)) {
+    GridOptions capped_options = options;
+    capped_options.max_output_item = k;
+    StateGrid capped = StateGrid::Build(T, fst, dict, capped_options);
+    CappedReference ref = CapReference(uncapped, k);
+    std::string where = context + " cap " + std::to_string(k);
+    // A pivot-k run produces only items <= k, so it survives the cap.
+    EXPECT_TRUE(capped.HasAcceptingRun()) << where;
+    EXPECT_EQ(capped.HasAcceptingRun(), ref.accepting) << where;
+    EXPECT_EQ(LayersOf(capped), ref.layers) << where;
+    EXPECT_LE(capped.num_edges(), uncapped.num_edges()) << where;
+    for (size_t i = 0; i <= capped.length(); ++i) {
+      for (StateId q = 0; q < capped.num_states(); ++q) {
+        EXPECT_EQ(capped.Alive(i, q),
+                  ref.alive[i * capped.num_states() + q] != 0)
+            << where << " coordinate (" << i << ", " << q << ")";
+      }
+    }
+    ++checked;
+  }
+  return checked;
 }
 
 TEST(GridTest, EmptyForNonMatchingSequence) {
@@ -420,6 +516,103 @@ INSTANTIATE_TEST_SUITE_P(
     RandomizedGrids, GridLayoutPropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 3),
                        ::testing::ValuesIn(testing::PropertyPatterns())));
+
+class GridCapPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+
+TEST_P(GridCapPropertyTest, CappedGridIsUncappedGridFilteredAndPruned) {
+  auto [seed, pattern] = GetParam();
+  SequenceDatabase db = testing::RandomDatabase(seed + 300, 8, 30, 8);
+  Fst fst = CompileFst(pattern, db.dict);
+  size_t checked = 0;
+  for (uint64_t sigma : {0, 2}) {
+    GridOptions options;
+    options.prune_sigma = sigma;
+    for (size_t s = 0; s < db.sequences.size(); ++s) {
+      checked += ExpectCapsMatchReference(
+          db.sequences[s], fst, db.dict, options,
+          pattern + " sigma " + std::to_string(sigma) + " T" +
+              std::to_string(s));
+    }
+  }
+  EXPECT_GT(checked, 0u) << pattern;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomizedGrids, GridCapPropertyTest,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::ValuesIn(testing::PropertyPatterns())));
+
+// A cap below every pivot of T leaves no candidate of T, so it must kill
+// every accepting run; a cap at the largest pivot keeps the grid accepting.
+TEST(GridTest, CapBelowEveryPivotKillsEveryRun) {
+  TextCorpusOptions text;
+  text.num_sentences = 150;
+  text.lemmas_per_pos = 60;
+  text.num_entities = 40;
+  SequenceDatabase nyt = GenerateTextCorpus(text);
+  Fst fst = CompileFst(".* (ENTITY^ VERB+ NOUN+? PREP? ENTITY^) .*", nyt.dict);
+  size_t killed = 0;
+  for (const Sequence& T : nyt.sequences) {
+    StateGrid uncapped = StateGrid::Build(T, fst, nyt.dict, {});
+    Sequence pivots = FindPivotItems(uncapped);
+    if (pivots.empty() || pivots.front() < 2) continue;
+    GridOptions below;
+    below.max_output_item = pivots.front() - 1;
+    StateGrid capped = StateGrid::Build(T, fst, nyt.dict, below);
+    EXPECT_FALSE(capped.HasAcceptingRun());
+    EXPECT_EQ(capped.num_edges(), 0u);
+    EXPECT_EQ(LayersOf(capped),
+              CapReference(uncapped, pivots.front() - 1).layers);
+    GridOptions top;
+    top.max_output_item = pivots.back();
+    EXPECT_TRUE(StateGrid::Build(T, fst, nyt.dict, top).HasAcceptingRun());
+    ++killed;
+  }
+  EXPECT_GT(killed, 0u);
+}
+
+// Build reuses a per-thread scratch. A long build, a short one and the long
+// one again on one thread must each equal a build on a fresh thread, whose
+// scratch starts empty: nothing a larger build left behind leaks into a
+// smaller one.
+TEST(GridTest, ScratchReuseMatchesFreshThreadBuilds) {
+  SequenceDatabase db = testing::RandomDatabase(17, 8, 40, 8);
+  Sequence long_seq;
+  for (const Sequence& T : db.sequences) {
+    long_seq.insert(long_seq.end(), T.begin(), T.end());
+  }
+  const Sequence& short_seq = db.sequences[0];
+  ASSERT_GT(long_seq.size(), 4 * short_seq.size());
+  auto on_fresh_thread = [](const Sequence& T, const Fst& fst,
+                            const Dictionary& dict,
+                            const GridOptions& options) {
+    StateGrid grid;
+    std::thread([&] { grid = StateGrid::Build(T, fst, dict, options); })
+        .join();
+    return grid;
+  };
+  for (const char* pattern :
+       {".*(.^)[.{0,1}(.^)]{1,2}.*", ".*(i0)[(.^).*]*(i1).*", "(.)(.).*"}) {
+    SCOPED_TRACE(pattern);
+    Fst fst = CompileFst(pattern, db.dict);
+    ASSERT_TRUE(StateGrid::Build(long_seq, fst, db.dict).HasAcceptingRun());
+    GridOptions capped;
+    capped.prune_sigma = 2;
+    capped.max_output_item = 4;
+    for (const GridOptions& options : {GridOptions{}, capped}) {
+      StateGrid long_first = StateGrid::Build(long_seq, fst, db.dict, options);
+      StateGrid short_after =
+          StateGrid::Build(short_seq, fst, db.dict, options);
+      StateGrid long_again = StateGrid::Build(long_seq, fst, db.dict, options);
+      StateGrid long_fresh = on_fresh_thread(long_seq, fst, db.dict, options);
+      ExpectSameGrid(long_first, long_fresh);
+      ExpectSameGrid(short_after,
+                     on_fresh_thread(short_seq, fst, db.dict, options));
+      ExpectSameGrid(long_again, long_fresh);
+    }
+  }
+}
 
 // The paper's Tab. III constraints on small generated corpora: wide FSTs
 // over DAG hierarchies, so output sets hold many items.
