@@ -1,14 +1,15 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, NFA
 // minimization/serialization, varint coding, D-SEQ's local mining and its
-// whole partition reduce, the map-side combiners (the zero-copy shuffle hot
-// path), the shuffle block codec, and the external spill-run merger (the
-// out-of-core reduce path).
+// whole partition reduce, D-CAND's local mining, the map-side combiners (the
+// zero-copy shuffle hot path), the shuffle block codec, and the external
+// spill-run merger (the out-of-core reduce path).
 //
 // Self-contained harness — no google-benchmark dependency — so the binary
-// always builds and CI can track regressions. Each benchmark runs until a
-// minimum wall time and reports ns/op (plus items/s where an op processes a
-// batch).
+// always builds and CI can track regressions. Each benchmark runs batches
+// until a minimum wall time and reports the median batch's ns/op (plus
+// items/s where an op processes a batch), so one descheduled batch on a
+// shared machine does not move the row.
 //
 // Usage: bench_micro_components [--json] [--tiny] [--min-time-ms N]
 //   --json         machine-readable output (CI archives it as
@@ -36,6 +37,7 @@
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
 #include "src/datagen/text_corpus.h"
+#include "src/dist/dcand_miner.h"
 #include "src/dist/dseq_miner.h"
 #include "src/fst/compiler.h"
 #include "src/nfa/output_nfa.h"
@@ -77,6 +79,7 @@ void RunBench(const std::string& name, uint64_t items_per_op, const Fn& fn) {
   uint64_t iterations = 0;
   double elapsed = 0.0;
   uint64_t batch = 1;
+  std::vector<double> batch_ns_per_op;
   // At least one measured batch even with --min-time-ms 0, so ns_per_op is
   // never 0/0 and the JSON stays valid.
   do {
@@ -85,17 +88,18 @@ void RunBench(const std::string& name, uint64_t items_per_op, const Fn& fn) {
     double d = Now() - start;
     elapsed += d;
     iterations += batch;
+    batch_ns_per_op.push_back(d / batch * 1e9);
     // Grow batches until one batch is ~1/10 of the budget, so timer
     // overhead stays negligible without overshooting the budget.
     if (d < g_config.min_time_s / 10) batch *= 2;
   } while (elapsed < g_config.min_time_s);
+  auto median = batch_ns_per_op.begin() + batch_ns_per_op.size() / 2;
+  std::nth_element(batch_ns_per_op.begin(), median, batch_ns_per_op.end());
   BenchRow row;
   row.name = name;
   row.iterations = iterations;
-  row.ns_per_op = elapsed / iterations * 1e9;
-  if (items_per_op > 0) {
-    row.items_per_sec = items_per_op / (elapsed / iterations);
-  }
+  row.ns_per_op = *median;
+  if (items_per_op > 0) row.items_per_sec = items_per_op / (*median * 1e-9);
   g_rows.push_back(row);
   if (!g_config.json) {
     std::printf("%-28s %12.0f ns/op %10llu iters", row.name.c_str(),
@@ -464,6 +468,38 @@ void BenchDfsMinePartition() {
   });
 }
 
+void BenchNfaMinePartition() {
+  // D-CAND's reduce-side local mining: MineNfas over one partition's
+  // minimized NFAs, one per BuildGrids sequence that can produce the pivot
+  // chosen as for dfs_mine_partition, each holding the sequence's runs that
+  // produce it (as D-CAND's map side builds them).
+  std::vector<StateGrid> grids = BuildGrids(64);
+  ItemId pivot = MostCommonPivot(grids);
+  if (pivot == kNoItem) return;
+  std::vector<OutputNfa> nfas;
+  for (const StateGrid& grid : grids) {
+    if (!grid.HasAcceptingRun()) continue;
+    OutputNfa nfa;
+    ForEachAcceptingRun(grid, 100'000,
+                        [&](const std::vector<const StateGrid::Edge*>& run) {
+                          PivotSet k = PivotsOfRun(run);
+                          if (std::binary_search(k.items.begin(),
+                                                 k.items.end(), pivot)) {
+                            nfa.AddRun(run, pivot);
+                          }
+                        });
+    if (nfa.empty()) continue;
+    nfa.Minimize();
+    nfas.push_back(std::move(nfa));
+  }
+  std::vector<uint64_t> weights(nfas.size(), 1);
+  RunBench("nfa_mine_partition", 0, [&] {
+    MiningResult result = MineNfas(nfas, weights, 2, pivot);
+    volatile size_t sink = result.size();
+    (void)sink;
+  });
+}
+
 void BenchDSeqReducePartition() {
   // One D-SEQ partition's whole reduce body (MineDSeqPartition): decode the
   // shuffled values, build their grids capped at the pivot, and mine them.
@@ -572,6 +608,7 @@ int main(int argc, char** argv) {
   BenchExternalMerge();
   BenchDesqDfsSmall();
   BenchDfsMinePartition();
+  BenchNfaMinePartition();
   BenchDSeqReducePartition();
   BenchTraceOverhead();
   if (g_config.json) PrintJson();

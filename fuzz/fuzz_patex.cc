@@ -2,7 +2,7 @@
 // a small fixed dictionary → StateGrid::Build over one fixed sequence.
 // Properties: a pattern ends in a grid or in one of the two typed errors,
 // PatexParseError (malformed text, nesting past kMaxPatexNesting) and
-// FstCompileError (unknown items, repetitions too large to expand); any
+// FstCompileError (unknown items, repetitions past the expansion bounds); any
 // other exception escapes and is a finding. Every grid that accepts holds
 // its pivots K(T), and capping the grid at any of them keeps it accepting
 // (a pivot-k run produces only items <= k).

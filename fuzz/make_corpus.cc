@@ -176,8 +176,9 @@ void SpillRunSeeds() {
   WriteSeed("fuzz_spill_run", "flag_mismatch", "\x01" + raw_run);
 }
 
-// Pattern expressions: the paper's nine Tab. III constraints, and nesting
-// just under, at and just over kMaxPatexNesting.
+// Pattern expressions: the paper's nine Tab. III constraints, nesting just
+// under, at and just over kMaxPatexNesting, and nested repetitions past the
+// compiler's expansion bounds.
 void PatexSeeds() {
   const std::pair<const char*, const char*> tab3[] = {
       {"tab3_n1", ".* ENTITY (VERB+ NOUN+? PREP?) ENTITY .*"},
@@ -196,6 +197,17 @@ void PatexSeeds() {
   for (int depth : {999, 1000, 1001}) {
     WriteSeed("fuzz_patex", "nest_" + std::to_string(depth),
               std::string(depth, '[') + "." + std::string(depth, ']'));
+  }
+  const std::pair<const char*, const char*> blowup[] = {
+      {"blowup_opt_400", "(.?){0,400}"},
+      {"blowup_opt_999", "(.?){0,999}"},
+      {"blowup_nest_40", "[.{0,40}]{0,40}"},
+      {"blowup_nest_60", "[.{0,60}]{0,60}"},
+      {"blowup_nest_999", "[.{0,999}]{0,999}"},
+      {"blowup_nest3_10", "[[.{0,10}]{0,10}]{0,10}"},
+  };
+  for (const auto& [name, pattern] : blowup) {
+    WriteSeed("fuzz_patex", name, pattern);
   }
 }
 

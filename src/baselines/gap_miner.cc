@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
+
+#include "src/core/pattern_growth.h"
 
 namespace dseq {
 namespace {
@@ -21,13 +24,23 @@ Sequence FrequentAncestors(ItemId t, const Dictionary& dict, uint64_t sigma,
   return result;
 }
 
-// Local pattern-growth miner for one partition (pivot k).
-class LocalGapMiner {
+// One partition's projected database (pivot k): a posting is the last
+// picked position of a sequence, and the next pick lies within the gap
+// window after it. Every prefix of min_length..lambda items is accepted.
+class GapDb {
  public:
-  LocalGapMiner(const std::vector<Sequence>& sequences,
-                const Dictionary& dict, const GapMinerOptions& options,
-                ItemId pivot, MiningResult* out)
-      : options_(options), pivot_(pivot), out_(out) {
+  struct Posting {
+    uint32_t input;
+    uint32_t last_pos;  // UINT32_MAX at the root (no position picked yet)
+
+    bool operator<(const Posting& o) const {
+      return std::tie(input, last_pos) < std::tie(o.input, o.last_pos);
+    }
+  };
+
+  GapDb(const std::vector<Sequence>& sequences, const Dictionary& dict,
+        const GapMinerOptions& options, ItemId pivot)
+      : options_(options), pivot_(pivot) {
     fanc_.resize(sequences.size());
     last_pivot_pos_.assign(sequences.size(), -1);
     for (size_t s = 0; s < sequences.size(); ++s) {
@@ -47,86 +60,45 @@ class LocalGapMiner {
     }
   }
 
-  void Run() {
-    // Root: first pick may be anywhere.
+  std::vector<Posting> Roots() const {
     std::vector<Posting> roots;
     for (uint32_t s = 0; s < fanc_.size(); ++s) {
-      if (last_pivot_pos_[s] >= 0) {
-        roots.push_back(Posting{s, UINT32_MAX});  // sentinel: no pick yet
+      if (last_pivot_pos_[s] >= 0) roots.push_back(Posting{s, UINT32_MAX});
+    }
+    return roots;
+  }
+
+  uint64_t Weight(uint32_t /*input*/) const { return 1; }
+
+  bool Accepts(const Posting& /*p*/, size_t length) const {
+    return length >= options_.min_length;
+  }
+
+  template <typename Emit>
+  void Extend(const Posting& p, bool has_pivot, size_t length,
+              const Emit& emit) const {
+    if (length >= options_.lambda) return;
+    const auto& fanc = fanc_[p.input];
+    bool root = p.last_pos == UINT32_MAX;  // the first pick may be anywhere
+    size_t begin = root ? 0 : p.last_pos + 1;
+    size_t end = root ? fanc.size()
+                      : std::min<size_t>(fanc.size(),
+                                         p.last_pos + 1 + options_.gamma + 1);
+    for (size_t j = begin; j < end; ++j) {
+      // Early stopping: after a pick at j the pivot can no longer follow.
+      bool past_pivot = static_cast<int64_t>(j) >= last_pivot_pos_[p.input];
+      for (ItemId w : fanc[j]) {
+        if (past_pivot && !has_pivot && w != pivot_) continue;
+        emit(w, Posting{p.input, static_cast<uint32_t>(j)});
       }
     }
-    Expand(roots, /*has_pivot=*/false);
   }
 
  private:
-  struct Posting {
-    uint32_t seq;
-    uint32_t last_pos;  // UINT32_MAX at the root (no position picked yet)
-
-    bool operator<(const Posting& o) const {
-      if (seq != o.seq) return seq < o.seq;
-      return last_pos < o.last_pos;
-    }
-    bool operator==(const Posting& o) const {
-      return seq == o.seq && last_pos == o.last_pos;
-    }
-  };
-
-  static size_t DistinctSequences(const std::vector<Posting>& postings) {
-    size_t count = 0;
-    uint32_t prev = UINT32_MAX;
-    for (const Posting& p : postings) {
-      if (p.seq != prev) {
-        ++count;
-        prev = p.seq;
-      }
-    }
-    return count;
-  }
-
-  void Expand(const std::vector<Posting>& postings, bool has_pivot) {
-    size_t distinct = DistinctSequences(postings);
-    if (distinct < options_.sigma) return;
-    if (has_pivot && prefix_.size() >= options_.min_length) {
-      out_->push_back(PatternCount{prefix_, distinct});
-    }
-    if (prefix_.size() >= options_.lambda) return;
-
-    std::map<ItemId, std::vector<Posting>> children;
-    for (const Posting& p : postings) {
-      const auto& fanc = fanc_[p.seq];
-      size_t begin = p.last_pos == UINT32_MAX ? 0 : p.last_pos + 1;
-      size_t end = p.last_pos == UINT32_MAX
-                       ? fanc.size()
-                       : std::min<size_t>(fanc.size(),
-                                          p.last_pos + 1 + options_.gamma + 1);
-      for (size_t j = begin; j < end; ++j) {
-        for (ItemId w : fanc[j]) {
-          bool child_has_pivot = has_pivot || w == pivot_;
-          if (!child_has_pivot &&
-              static_cast<int64_t>(j) >= last_pivot_pos_[p.seq]) {
-            // Early stopping: the pivot can no longer be picked after j.
-            continue;
-          }
-          children[w].push_back(Posting{p.seq, static_cast<uint32_t>(j)});
-        }
-      }
-    }
-    for (auto& [w, child] : children) {
-      std::sort(child.begin(), child.end());
-      child.erase(std::unique(child.begin(), child.end()), child.end());
-      prefix_.push_back(w);
-      Expand(child, has_pivot || w == pivot_);
-      prefix_.pop_back();
-    }
-  }
-
   const GapMinerOptions& options_;
   ItemId pivot_;
-  MiningResult* out_;
   std::vector<std::vector<Sequence>> fanc_;
   std::vector<int64_t> last_pivot_pos_;
-  Sequence prefix_;
 };
 
 }  // namespace
@@ -191,8 +163,8 @@ DistributedResult MineGapConstrained(const std::vector<Sequence>& db,
       sequences.push_back(seq);
     }
     MiningResult local;
-    LocalGapMiner miner(sequences, dict, options, pivot, &local);
-    miner.Run();
+    GapDb db(sequences, dict, options, pivot);
+    PatternGrowth<GapDb>(db, options.sigma, pivot, &local).Run();
     out.insert(out.end(), std::make_move_iterator(local.begin()),
                std::make_move_iterator(local.end()));
   };

@@ -9,7 +9,9 @@
 // what gives the specialized systems their edge in Fig. 12.
 //
 // Distribution follows LASH: item-based partitioning, rewritten (trimmed)
-// input sequences, pivot-restricted local mining with early stopping.
+// input sequences, pivot-restricted local mining with early stopping. The
+// local miner is the shared pattern growth of pattern_growth.h over gap
+// windows.
 #ifndef DSEQ_BASELINES_GAP_MINER_H_
 #define DSEQ_BASELINES_GAP_MINER_H_
 

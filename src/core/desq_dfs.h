@@ -2,11 +2,10 @@
 //
 // Sequential baseline (Beedkar & Gemulla, ICDM'16; paper Tab. V) and — in
 // its pivot-restricted form — the local miner of D-SEQ partitions (paper
-// Sec. V-C). Mining starts from the empty prefix and extends it one output
-// item at a time. Each search-tree node has a projected database of postings
-// (sequence, last-read position, FST state) from which the prefix can be
-// produced; a sequence supports the prefix if some posting can reach the end
-// of the sequence in a final state via ε-output transitions only.
+// Sec. V-C). The search is the shared pattern growth of pattern_growth.h
+// over postings (sequence, last-read position, FST state); a sequence
+// supports a prefix if some posting can reach the end of the sequence in a
+// final state via ε-output transitions only.
 //
 // Pivot restriction (local mining at partition P_k):
 //  * items larger than the pivot are never used to extend a prefix,
@@ -15,7 +14,7 @@
 //    its last position that can produce the pivot item has passed.
 // D-SEQ's reduce (MineDSeqPartition) builds its grids capped at the pivot
 // (GridOptions::max_output_item), so they hold no larger item at all; the
-// per-item "larger than the pivot" check stays for callers that pass
+// search's per-item "larger than the pivot" check serves callers that pass
 // uncapped grids, such as MineDesqDfs with a pivot.
 #ifndef DSEQ_CORE_DESQ_DFS_H_
 #define DSEQ_CORE_DESQ_DFS_H_

@@ -242,10 +242,11 @@ struct DataflowOptions {
   DataflowBackend backend = DataflowBackend::kLocal;
   /// Proc backend only: kill and reassign an in-flight worker that has made
   /// no progress for this long. "Progress" includes heartbeats: workers run
-  /// a progress-gated kPong pump while executing (see proc_heartbeat_
-  /// interval_ms), so a slow-but-working task survives any timeout while a
-  /// hung one goes silent and is killed. 0 disables the timeout (worker
-  /// loss is still detected via connection EOF and the task re-executed).
+  /// a progress-gated kPong pump while executing, beating every quarter of
+  /// this timeout (clamped to [10ms, 1s]), so a slow-but-working task
+  /// survives any timeout while a hung one goes silent and is killed. 0
+  /// disables the timeout and the heartbeats (worker loss is still detected
+  /// via connection EOF and the task re-executed).
   int proc_worker_timeout_ms = 0;
   /// Proc backend only: how many times one task may be attempted before the
   /// round fails with ProcTaskFailedError naming the task, the attempt
@@ -254,10 +255,6 @@ struct DataflowOptions {
   /// deterministic worker exceptions (kError frames) never retry. Clamped
   /// to >= 1.
   int proc_max_task_attempts = 3;
-  /// Proc backend only: worker heartbeat period. 0 = derive from
-  /// proc_worker_timeout_ms (a quarter of it, clamped to [10ms, 1s]);
-  /// heartbeats are off entirely when the timeout is 0.
-  int proc_heartbeat_interval_ms = 0;
   /// Proc backend only: wall-clock ceiling for one round (map + reduce).
   /// Exceeding it throws ProcDeadlineError. 0 = no deadline.
   int proc_round_deadline_ms = 0;

@@ -2,118 +2,62 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/core/candidates.h"
 #include "src/core/grid.h"
+#include "src/core/pattern_growth.h"
 #include "src/core/pivot.h"
 #include "src/nfa/serializer.h"
 
 namespace dseq {
 namespace {
 
-// Pattern growth over weighted NFAs: the candidate partition's local miner.
-// Mirrors the DESQ-DFS posting structure with (nfa, state) postings; the
-// NFAs are acyclic, so expansion terminates without position tracking.
-class NfaMiner {
+// The candidate partition's projected database: a posting is a state of
+// one weighted NFA, accepted where the state is final. The NFAs are
+// acyclic, so growth terminates without position tracking.
+class NfaDb {
  public:
-  NfaMiner(const std::vector<OutputNfa>& nfas,
-           const std::vector<uint64_t>& weights, uint64_t sigma, ItemId pivot,
-           MiningResult* out)
-      : nfas_(nfas), weights_(weights), sigma_(sigma), pivot_(pivot),
-        out_(out) {}
+  struct Posting {
+    uint32_t input;
+    StateId state;
 
-  void Run() {
+    bool operator<(const Posting& o) const {
+      return std::tie(input, state) < std::tie(o.input, o.state);
+    }
+  };
+
+  NfaDb(const std::vector<OutputNfa>& nfas,
+        const std::vector<uint64_t>& weights)
+      : nfas_(nfas), weights_(weights) {}
+
+  std::vector<Posting> Roots() const {
     std::vector<Posting> roots;
     for (uint32_t n = 0; n < nfas_.size(); ++n) {
       if (!nfas_[n].empty()) roots.push_back(Posting{n, 0});
     }
-    Expand(roots, /*has_pivot=*/false);
+    return roots;
+  }
+
+  uint64_t Weight(uint32_t input) const { return weights_[input]; }
+
+  bool Accepts(const Posting& p, size_t /*length*/) const {
+    return nfas_[p.input].IsFinal(p.state);
+  }
+
+  template <typename Emit>
+  void Extend(const Posting& p, bool /*has_pivot*/, size_t /*length*/,
+              const Emit& emit) const {
+    const OutputNfa& nfa = nfas_[p.input];
+    for (const OutputNfa::Edge& e : nfa.EdgesOf(p.state)) {
+      for (ItemId w : nfa.Label(e.label)) emit(w, Posting{p.input, e.target});
+    }
   }
 
  private:
-  struct Posting {
-    uint32_t nfa;
-    StateId state;
-
-    bool operator<(const Posting& o) const {
-      if (nfa != o.nfa) return nfa < o.nfa;
-      return state < o.state;
-    }
-    bool operator==(const Posting& o) const {
-      return nfa == o.nfa && state == o.state;
-    }
-  };
-
-  // Total weight of distinct NFAs in the postings: an upper bound on the
-  // support of the prefix and all of its extensions.
-  uint64_t PotentialSupport(const std::vector<Posting>& postings) const {
-    uint64_t total = 0;
-    uint32_t prev = UINT32_MAX;
-    for (const Posting& p : postings) {
-      if (p.nfa != prev) {
-        total += weights_[p.nfa];
-        prev = p.nfa;
-      }
-    }
-    return total;
-  }
-
-  // Weight of distinct NFAs with a final-state posting: each NFA counts a
-  // candidate once, regardless of how many accepting paths produce it.
-  uint64_t Support(const std::vector<Posting>& postings) const {
-    uint64_t support = 0;
-    uint32_t prev = UINT32_MAX;
-    bool counted = false;
-    for (const Posting& p : postings) {
-      if (p.nfa != prev) {
-        prev = p.nfa;
-        counted = false;
-      }
-      if (counted) continue;
-      if (nfas_[p.nfa].IsFinal(p.state)) {
-        support += weights_[p.nfa];
-        counted = true;
-      }
-    }
-    return support;
-  }
-
-  void Expand(const std::vector<Posting>& postings, bool has_pivot) {
-    if (PotentialSupport(postings) < sigma_) return;
-    if (!prefix_.empty() && has_pivot) {
-      uint64_t support = Support(postings);
-      if (support >= sigma_) {
-        out_->push_back(PatternCount{prefix_, support});
-      }
-    }
-
-    std::map<ItemId, std::vector<Posting>> children;
-    for (const Posting& p : postings) {
-      const OutputNfa& nfa = nfas_[p.nfa];
-      for (const OutputNfa::Edge& e : nfa.EdgesOf(p.state)) {
-        for (ItemId w : nfa.Label(e.label)) {
-          if (w > pivot_) continue;
-          children[w].push_back(Posting{p.nfa, e.target});
-        }
-      }
-    }
-    for (auto& [w, child] : children) {
-      std::sort(child.begin(), child.end());
-      child.erase(std::unique(child.begin(), child.end()), child.end());
-      prefix_.push_back(w);
-      Expand(child, has_pivot || w == pivot_);
-      prefix_.pop_back();
-    }
-  }
-
   const std::vector<OutputNfa>& nfas_;
   const std::vector<uint64_t>& weights_;
-  uint64_t sigma_;
-  ItemId pivot_;
-  MiningResult* out_;
-  Sequence prefix_;
 };
 
 }  // namespace
@@ -122,8 +66,8 @@ MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
                       const std::vector<uint64_t>& weights, uint64_t sigma,
                       ItemId pivot) {
   MiningResult result;
-  NfaMiner miner(nfas, weights, sigma, pivot, &result);
-  miner.Run();
+  NfaDb db(nfas, weights);
+  PatternGrowth<NfaDb>(db, sigma, pivot, &result).Run();
   Canonicalize(&result);
   return result;
 }

@@ -8,8 +8,9 @@
 //            serialize each NFA in DFS order
 //   shuffle: partitions keyed by pivot item; a combiner aggregates identical
 //            serialized NFAs into weighted NFAs (Sec. VI-A)
-//   reduce : each partition mines its weighted NFAs directly by pattern
-//            growth over NFA states, counting distinct-NFA support
+//   reduce : each partition mines its weighted NFAs directly by the shared
+//            pattern growth of pattern_growth.h over NFA states, counting
+//            distinct-NFA support
 #ifndef DSEQ_DIST_DCAND_MINER_H_
 #define DSEQ_DIST_DCAND_MINER_H_
 
@@ -49,7 +50,8 @@ struct DCandOptions : DistributedRunOptions {
 /// Local miner of one candidate partition: pattern growth directly over the
 /// weighted NFAs. A candidate is counted once per NFA (distinct-sequence
 /// support) with the NFA's weight; only sequences containing `pivot` are
-/// reported. Result is canonicalized.
+/// reported (every sequence when `pivot` is kNoItem). Result is
+/// canonicalized.
 MiningResult MineNfas(const std::vector<OutputNfa>& nfas,
                       const std::vector<uint64_t>& weights, uint64_t sigma,
                       ItemId pivot);

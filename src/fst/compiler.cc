@@ -13,6 +13,16 @@ namespace {
 // Maximum number of atom copies a bounded repetition may expand to.
 constexpr int kMaxRepeatExpansion = 1000;
 
+// Bounds on the ε-NFA that the Thompson construction builds: its states,
+// and the total size of the ε-closures the elimination pass materializes
+// (quadratic in the states for nested optional repetitions). Past either
+// bound a pattern such as [.{0,999}]{0,999} ends in FstCompileError instead
+// of an unbounded compile; within both, compiling takes well under a second.
+// The largest pattern the benches use, T3(·,8,5), needs 92 states and 251
+// closure entries.
+constexpr size_t kMaxThompsonStates = 2048;
+constexpr size_t kMaxClosureEntries = 16384;
+
 std::tuple<StateId, InputKind, ItemId, OutputKind, ItemId, StateId> Key(
     const Transition& t) {
   return {t.from, t.in_kind, t.in_item, t.out_kind, t.out_item, t.to};
@@ -109,6 +119,9 @@ class Builder {
   };
 
   StateId NewState() {
+    if (consuming_.size() >= kMaxThompsonStates) {
+      throw FstCompileError("pattern expands to too many FST states");
+    }
     consuming_.emplace_back();
     eps_.emplace_back();
     return static_cast<StateId>(consuming_.size() - 1);
@@ -304,6 +317,7 @@ class Builder {
     // ε-closures via iterative DFS.
     std::vector<std::vector<StateId>> closure(n);
     {
+      size_t entries = 0;
       std::vector<uint8_t> seen(n, 0);
       std::vector<StateId> stack;
       for (StateId q = 0; q < n; ++q) {
@@ -314,6 +328,9 @@ class Builder {
         while (!stack.empty()) {
           StateId u = stack.back();
           stack.pop_back();
+          if (++entries > kMaxClosureEntries) {
+            throw FstCompileError("pattern expands to too large ε-closures");
+          }
           closure[q].push_back(u);
           for (StateId v : eps_[u]) {
             if (!seen[v]) {

@@ -2,7 +2,8 @@
 //
 // Uses Thompson construction with ε-transitions, then eliminates
 // ε-transitions and prunes states that are unreachable or cannot reach a
-// final state. Bounded repetitions {n,m} are expanded by duplication.
+// final state. Bounded repetitions {n,m} are expanded by duplication, within
+// fixed bounds on the expansion.
 #ifndef DSEQ_FST_COMPILER_H_
 #define DSEQ_FST_COMPILER_H_
 
@@ -16,7 +17,8 @@
 
 namespace dseq {
 
-/// Thrown when a pattern references an item missing from the dictionary.
+/// Thrown when a pattern references an item missing from the dictionary or
+/// expands past the compiler's size bounds.
 class FstCompileError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

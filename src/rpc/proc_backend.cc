@@ -179,13 +179,10 @@ bool ForEachSegmentFrame(uint64_t task, uint64_t reducer, uint64_t kind,
   return emit(seg);
 }
 
-// Heartbeat cadence: an explicit interval wins; otherwise derive a fraction
-// of the stall timeout so a slow-but-working task always beats well inside
-// the kill window. 0 disables heartbeats entirely.
+// Heartbeat cadence: a fraction of the stall timeout, so a slow-but-working
+// task always beats well inside the kill window. 0 disables heartbeats
+// entirely (no timeout).
 int HeartbeatIntervalMs(const DataflowOptions& options) {
-  if (options.proc_heartbeat_interval_ms > 0) {
-    return options.proc_heartbeat_interval_ms;
-  }
   if (options.proc_worker_timeout_ms > 0) {
     return std::clamp(options.proc_worker_timeout_ms / 4, 10, 1000);
   }

@@ -116,10 +116,13 @@ TEST_P(GapMinerPropertyTest, MatchesDesqDfsOnGapConstraints) {
       hierarchy ? T3Pattern(gamma, lambda) : T2Pattern(gamma, lambda);
   Fst fst = CompileFst(pattern, db.dict);
   for (uint64_t sigma : {2, 3}) {
+    // DESQ-DFS shares the gap miner's pattern-growth search, so the
+    // brute-force enumeration pins both sides independently of it.
+    MiningResult expected =
+        testing::BruteForceMine(db.sequences, fst, db.dict, sigma);
     DesqDfsOptions seq_options;
     seq_options.sigma = sigma;
-    MiningResult expected =
-        MineDesqDfs(db.sequences, fst, db.dict, seq_options);
+    EXPECT_EQ(MineDesqDfs(db.sequences, fst, db.dict, seq_options), expected);
 
     GapMinerOptions options;
     options.sigma = sigma;

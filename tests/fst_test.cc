@@ -7,6 +7,7 @@
 #include "src/core/candidates.h"
 #include "src/core/grid.h"
 #include "src/dict/sequence.h"
+#include "src/obs/trace.h"
 
 namespace dseq {
 namespace {
@@ -36,6 +37,23 @@ std::vector<std::string> Sorted(std::vector<std::string> v) {
 TEST(FstCompilerTest, UnknownItemThrows) {
   SequenceDatabase db = MakeRunningExample();
   EXPECT_THROW(CompileFst("(nosuchitem)", db.dict), FstCompileError);
+}
+
+TEST(FstCompilerTest, NestedRepetitionsEndInCompileErrorQuickly) {
+  // Unbounded, these expand to millions of ε-NFA states or closure entries
+  // and compile for seconds to minutes.
+  SequenceDatabase db = MakeRunningExample();
+  for (const char* pattern :
+       {"(.?){0,400}", "(.?){0,999}", "[.{0,40}]{0,40}", "[.{0,60}]{0,60}",
+        "[.{0,99}]{0,99}", "[.{0,999}]{0,999}", "[[.{0,10}]{0,10}]{0,10}",
+        "[[.{0,30}]{0,30}]{0,30}"}) {
+    auto start = obs::Now();
+    EXPECT_THROW(CompileFst(pattern, db.dict), FstCompileError) << pattern;
+    EXPECT_LT(obs::SecondsSince(start), 1.0) << pattern;
+  }
+  // Wide gap constraints stay well inside the bounds.
+  EXPECT_GT(CompileFst(".*(.^)[.{0,20}(.^)]{1,9}.*", db.dict).num_states(),
+            0u);
 }
 
 TEST(FstCompilerTest, RunningExampleCompiles) {
