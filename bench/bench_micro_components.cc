@@ -1,9 +1,10 @@
 // Micro-benchmarks for the core components: grid construction, pivot
 // search, the forward/backward pivot DPs, rewriting, NFA
 // minimization/serialization, varint coding, D-SEQ's local mining and its
-// whole partition reduce, D-CAND's local mining, the map-side combiners (the
-// zero-copy shuffle hot path), the shuffle block codec, and the external
-// spill-run merger (the out-of-core reduce path).
+// whole partition reduce, D-CAND's map body, local mining and whole
+// partition reduce, the map-side combiners (the zero-copy shuffle hot
+// path), the shuffle block codec, and the external spill-run merger (the
+// out-of-core reduce path).
 //
 // Self-contained harness — no google-benchmark dependency — so the binary
 // always builds and CI can track regressions. Each benchmark runs batches
@@ -472,11 +473,12 @@ void BenchNfaMinePartition() {
   // D-CAND's reduce-side local mining: MineNfas over one partition's
   // minimized NFAs, one per BuildGrids sequence that can produce the pivot
   // chosen as for dfs_mine_partition, each holding the sequence's runs that
-  // produce it (as D-CAND's map side builds them).
+  // produce it (as D-CAND's map side builds them), in the NfaPartition
+  // arena the reduce decodes them into.
   std::vector<StateGrid> grids = BuildGrids(64);
   ItemId pivot = MostCommonPivot(grids);
   if (pivot == kNoItem) return;
-  std::vector<OutputNfa> nfas;
+  NfaPartition partition;
   for (const StateGrid& grid : grids) {
     if (!grid.HasAcceptingRun()) continue;
     OutputNfa nfa;
@@ -490,11 +492,10 @@ void BenchNfaMinePartition() {
                         });
     if (nfa.empty()) continue;
     nfa.Minimize();
-    nfas.push_back(std::move(nfa));
+    partition.Append(nfa, 1);
   }
-  std::vector<uint64_t> weights(nfas.size(), 1);
   RunBench("nfa_mine_partition", 0, [&] {
-    MiningResult result = MineNfas(nfas, weights, 2, pivot);
+    MiningResult result = MineNfas(partition, 2, pivot);
     volatile size_t sink = result.size();
     (void)sink;
   });
@@ -528,6 +529,66 @@ void BenchDSeqReducePartition() {
   RunBench("dseq_reduce_partition", values.size(), [&] {
     MiningResult result =
         MineDSeqPartition(values, pivot, 2, N5Fst(), db.dict, options);
+    volatile size_t sink = result.size();
+    (void)sink;
+  });
+}
+
+// The N5 fixture's D-CAND map output: every (pivot key, weighted NFA)
+// record MapDCandSequence emits for the 64 BuildGrids sequences, with the
+// grids σ-pruned at 10 as in BuildGrids.
+std::vector<std::pair<std::string, std::string>> DCandMapOutput(
+    const DCandOptions& options) {
+  const SequenceDatabase& db = Corpus();
+  std::vector<std::pair<std::string, std::string>> records;
+  for (size_t i = 0; i < 64 && i < db.size(); ++i) {
+    MapDCandSequence(db.sequences[i], N5Fst(), db.dict, options,
+                     [&](std::string_view key, std::string_view value) {
+                       records.emplace_back(key, value);
+                     });
+  }
+  return records;
+}
+
+void BenchDCandMapSequence() {
+  // D-CAND's whole map body (MapDCandSequence) over the 64 BuildGrids
+  // sequences under N5: grid, pivot search, run enumeration into one NFA
+  // per pivot, minimization and serialization, reported as sequences/s.
+  const SequenceDatabase& db = Corpus();
+  const size_t count = std::min<size_t>(64, db.size());
+  DCandOptions options;
+  options.sigma = 10;
+  RunBench("dcand_map_sequence", count, [&] {
+    size_t bytes = 0;
+    for (size_t i = 0; i < count; ++i) {
+      MapDCandSequence(db.sequences[i], N5Fst(), db.dict, options,
+                       [&](std::string_view, std::string_view value) {
+                         bytes += value.size();
+                       });
+    }
+    volatile size_t sink = bytes;
+    (void)sink;
+  });
+}
+
+void BenchDCandReducePartition() {
+  // One D-CAND partition's whole reduce body (MineDCandPartition): decode
+  // the shuffled weighted NFAs into the reducer's arena and mine them at
+  // σ = 2. The partition holds the N5 fixture's NFAs for the pivot most of
+  // its grids can produce, as the map side ships them.
+  std::vector<StateGrid> grids = BuildGrids(64, N5Fst());
+  ItemId pivot = MostCommonPivot(grids);
+  if (pivot == kNoItem) return;
+  DCandOptions options;
+  options.sigma = 10;
+  const std::string key = EncodePivotKey(pivot);
+  std::vector<std::string> shuffled;
+  for (auto& [k, value] : DCandMapOutput(options)) {
+    if (k == key) shuffled.push_back(std::move(value));
+  }
+  std::vector<std::string_view> values(shuffled.begin(), shuffled.end());
+  RunBench("dcand_reduce_partition", values.size(), [&] {
+    MiningResult result = MineDCandPartition(values, pivot, 2);
     volatile size_t sink = result.size();
     (void)sink;
   });
@@ -610,6 +671,8 @@ int main(int argc, char** argv) {
   BenchDfsMinePartition();
   BenchNfaMinePartition();
   BenchDSeqReducePartition();
+  BenchDCandMapSequence();
+  BenchDCandReducePartition();
   BenchTraceOverhead();
   if (g_config.json) PrintJson();
   return 0;

@@ -93,6 +93,27 @@ void NfaSeeds() {
     nfa.Minimize();
     WriteSeed("fuzz_nfa", "output_sets", dseq::SerializeNfa(nfa));
   }
+  {
+    // State ids out of DFS order (state 3 is reached before state 2): the
+    // serializer must name states by visit order for the fixed point.
+    dseq::OutputNfa nfa;
+    nfa.AddEdge(0, {1}, 0, /*create_new=*/true, /*mark_final=*/false);
+    nfa.AddEdge(0, {2}, 0, /*create_new=*/true, /*mark_final=*/false);
+    nfa.AddEdge(1, {3}, 0, /*create_new=*/true, /*mark_final=*/true);
+    nfa.AddEdge(2, {4}, 3, /*create_new=*/false, /*mark_final=*/false);
+    WriteSeed("fuzz_nfa", "non_preorder", dseq::SerializeNfa(nfa));
+  }
+  // The same automaton with its edges listed breadth-first through explicit
+  // sources, so parsing numbers the states out of DFS order.
+  WriteSeed("fuzz_nfa", "explicit_sources",
+            Varint(4) + '\x00' + Varint(1) + Varint(1) + '\x01' + Varint(0) +
+                Varint(1) + Varint(2) + '\x05' + Varint(1) + Varint(1) +
+                Varint(3) + '\x03' + Varint(2) + Varint(1) + Varint(4) +
+                Varint(3));
+  // root -{1}-> s1 -{2}-> root: a cycle, which both decoders reject.
+  WriteSeed("fuzz_nfa", "cycle",
+            Varint(2) + '\x00' + Varint(1) + Varint(1) + '\x02' + Varint(1) +
+                Varint(2) + Varint(0));
   WriteSeed("fuzz_nfa", "malformed", "\xff\xff\xff");
 }
 

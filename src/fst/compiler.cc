@@ -1,7 +1,6 @@
 #include "src/fst/compiler.h"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 #include <vector>
 
@@ -28,6 +27,209 @@ std::tuple<StateId, InputKind, ItemId, OutputKind, ItemId, StateId> Key(
   return {t.from, t.in_kind, t.in_item, t.out_kind, t.out_item, t.to};
 }
 
+// A state's signature entry: (transition label id << 32) | target class.
+using SigEntry = uint64_t;
+
+// The coarsest partition of `fst`'s states that separates final from
+// non-final states and is stable: states of one class have, per transition
+// label, transitions into the same classes. Returns each state's class, ids
+// dense in [0, *num_classes).
+//
+// Refinement splits a class by its members' signatures (their sorted
+// (label, target class) sets). Only *dirty* states — those with a successor
+// that changed class in the last round, and every state in the first — can
+// change signature, so a round recomputes only theirs. A class's non-dirty
+// members all still carry its recorded signature; a dirty member that
+// differs from it moves to the class of its (old class, signature), created
+// on first use. A round that moves nothing leaves the partition stable.
+// Every split separates states that no stable refinement of {final,
+// non-final} can merge, so the result is the coarsest one, as a full
+// Moore-style pass per round computes, for work proportional to the dirty
+// states' transitions instead of all states' per round.
+std::vector<uint32_t> CoarsestStablePartition(const Fst& fst,
+                                              uint32_t* num_classes) {
+  const size_t n = fst.num_states();
+  // Dense label ids for the (input, output) part of each transition.
+  using Label = std::tuple<InputKind, ItemId, OutputKind, ItemId>;
+  std::vector<Label> labels;
+  for (StateId q = 0; q < n; ++q) {
+    for (const Transition& t : fst.From(q)) {
+      labels.emplace_back(t.in_kind, t.in_item, t.out_kind, t.out_item);
+    }
+  }
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  // Transitions as CSR (label id, target) and predecessors as CSR.
+  std::vector<uint32_t> trans_begin(n + 1, 0);
+  std::vector<uint32_t> trans_label;
+  std::vector<StateId> trans_to;
+  std::vector<uint32_t> pred_begin(n + 1, 0);
+  for (StateId q = 0; q < n; ++q) {
+    for (const Transition& t : fst.From(q)) {
+      Label l(t.in_kind, t.in_item, t.out_kind, t.out_item);
+      trans_label.push_back(static_cast<uint32_t>(
+          std::lower_bound(labels.begin(), labels.end(), l) - labels.begin()));
+      trans_to.push_back(t.to);
+      ++pred_begin[t.to + 1];
+    }
+    trans_begin[q + 1] = static_cast<uint32_t>(trans_to.size());
+  }
+  for (size_t q = 0; q < n; ++q) pred_begin[q + 1] += pred_begin[q];
+  std::vector<StateId> preds(trans_to.size());
+  {
+    std::vector<uint32_t> fill(pred_begin.begin(), pred_begin.end() - 1);
+    for (StateId q = 0; q < n; ++q) {
+      for (uint32_t i = trans_begin[q]; i < trans_begin[q + 1]; ++i) {
+        preds[fill[trans_to[i]]++] = q;
+      }
+    }
+  }
+
+  // A class: its member count, its recorded signature (a range of
+  // `class_pool`, the signature its non-dirty members carry), and per-round
+  // bookkeeping.
+  struct Class {
+    uint32_t size = 0;
+    uint32_t dirty = 0;        // dirty members this round
+    uint32_t reset_round = 0;  // round its signature was last re-recorded
+    uint32_t sig_begin = 0;
+    uint32_t sig_end = 0;
+    uint64_t sig_hash = 0;
+  };
+  std::vector<Class> classes;
+  std::vector<SigEntry> class_pool;
+
+  // Initial classes: non-final and final, numbered by first occurrence.
+  std::vector<uint32_t> cls(n);
+  {
+    uint32_t id_of[2] = {UINT32_MAX, UINT32_MAX};
+    for (StateId q = 0; q < n; ++q) {
+      uint32_t& id = id_of[fst.IsFinal(q) ? 1 : 0];
+      if (id == UINT32_MAX) {
+        id = static_cast<uint32_t>(classes.size());
+        classes.emplace_back();
+      }
+      cls[q] = id;
+      ++classes[id].size;
+    }
+  }
+
+  // Per-round state.
+  std::vector<StateId> dirty(n);
+  for (StateId q = 0; q < n; ++q) dirty[q] = q;
+  std::vector<uint8_t> is_dirty(n, 1);
+  std::vector<SigEntry> pool;           // this round's signatures
+  std::vector<uint32_t> sig_begin(n), sig_end(n);
+  std::vector<uint64_t> sig_hash(n);
+  std::vector<std::pair<StateId, uint32_t>> moves;  // (state, new class)
+  // Splits of this round: (old class, signature) -> new class. A slot is
+  // live in the round it was written; `state` opened the new class.
+  struct Split {
+    uint32_t round = 0;
+    StateId state = 0;
+    uint32_t target = 0;
+  };
+  std::vector<Split> table;
+  std::vector<StateId> next_dirty;
+
+  auto record = [&](uint32_t c, StateId q) {
+    Class& k = classes[c];
+    k.sig_begin = static_cast<uint32_t>(class_pool.size());
+    class_pool.insert(class_pool.end(), pool.begin() + sig_begin[q],
+                      pool.begin() + sig_end[q]);
+    k.sig_end = static_cast<uint32_t>(class_pool.size());
+    k.sig_hash = sig_hash[q];
+  };
+  auto same = [](const SigEntry* a, const SigEntry* a_end, const SigEntry* b,
+                 const SigEntry* b_end) {
+    return a_end - a == b_end - b && std::equal(a, a_end, b);
+  };
+
+  for (uint32_t round = 1; !dirty.empty(); ++round) {
+    std::sort(dirty.begin(), dirty.end());
+    pool.clear();
+    for (StateId q : dirty) {
+      sig_begin[q] = static_cast<uint32_t>(pool.size());
+      for (uint32_t i = trans_begin[q]; i < trans_begin[q + 1]; ++i) {
+        pool.push_back(SigEntry{trans_label[i]} << 32 | cls[trans_to[i]]);
+      }
+      std::sort(pool.begin() + sig_begin[q], pool.end());
+      pool.erase(std::unique(pool.begin() + sig_begin[q], pool.end()),
+                 pool.end());
+      sig_end[q] = static_cast<uint32_t>(pool.size());
+      uint64_t h = 0x9e3779b97f4a7c15ULL;
+      for (uint32_t i = sig_begin[q]; i < sig_end[q]; ++i) {
+        h = (h ^ pool[i]) * 0xff51afd7ed558ccdULL;
+        h ^= h >> 29;
+      }
+      sig_hash[q] = h;
+      ++classes[cls[q]].dirty;
+    }
+
+    size_t capacity = 16;
+    while (capacity < 2 * dirty.size()) capacity *= 2;
+    if (table.size() < capacity) table.assign(capacity, Split{});
+    const size_t mask = table.size() - 1;
+    moves.clear();
+    for (StateId q : dirty) {
+      const uint32_t c = cls[q];
+      const SigEntry* sig = pool.data() + sig_begin[q];
+      const SigEntry* sig_last = pool.data() + sig_end[q];
+      // A class whose members are all dirty takes the signature of its
+      // first one.
+      if (classes[c].dirty == classes[c].size &&
+          classes[c].reset_round != round) {
+        classes[c].reset_round = round;
+        record(c, q);
+      }
+      if (sig_hash[q] == classes[c].sig_hash &&
+          same(sig, sig_last, class_pool.data() + classes[c].sig_begin,
+               class_pool.data() + classes[c].sig_end)) {
+        continue;
+      }
+      const uint64_t h = sig_hash[q] ^ (uint64_t{c} * 0x9e3779b97f4a7c15ULL);
+      size_t slot = h & mask;
+      uint32_t target = UINT32_MAX;
+      for (; table[slot].round == round; slot = (slot + 1) & mask) {
+        StateId r = table[slot].state;
+        if (cls[r] == c && sig_hash[r] == sig_hash[q] &&
+            same(sig, sig_last, pool.data() + sig_begin[r],
+                 pool.data() + sig_end[r])) {
+          target = table[slot].target;
+          break;
+        }
+      }
+      if (target == UINT32_MAX) {
+        target = static_cast<uint32_t>(classes.size());
+        classes.emplace_back();
+        record(target, q);
+        table[slot] = Split{round, q, target};
+      }
+      moves.emplace_back(q, target);
+    }
+
+    for (StateId q : dirty) {
+      classes[cls[q]].dirty = 0;
+      is_dirty[q] = 0;
+    }
+    next_dirty.clear();
+    for (const auto& [q, target] : moves) {
+      --classes[cls[q]].size;
+      cls[q] = target;
+      ++classes[target].size;
+      for (uint32_t i = pred_begin[q]; i < pred_begin[q + 1]; ++i) {
+        if (!is_dirty[preds[i]]) {
+          is_dirty[preds[i]] = 1;
+          next_dirty.push_back(preds[i]);
+        }
+      }
+    }
+    dirty.swap(next_dirty);
+  }
+  *num_classes = static_cast<uint32_t>(classes.size());
+  return cls;
+}
+
 class Builder {
  public:
   explicit Builder(const Dictionary& dict) : dict_(dict) {}
@@ -46,35 +248,8 @@ class Builder {
   static Fst MergeBisimilarStates(const Fst& fst) {
     size_t n = fst.num_states();
     if (n == 0) return fst;
-    std::vector<uint32_t> cls(n);
-    for (StateId q = 0; q < n; ++q) cls[q] = fst.IsFinal(q) ? 1 : 0;
-
-    using Signature =
-        std::vector<std::tuple<InputKind, ItemId, OutputKind, ItemId,
-                               uint32_t>>;
-    size_t num_classes = 0;  // refinement only splits; equal count = stable
-    while (true) {
-      std::map<std::pair<uint32_t, Signature>, uint32_t> next_ids;
-      std::vector<uint32_t> next(n);
-      for (StateId q = 0; q < n; ++q) {
-        Signature sig;
-        for (const Transition& t : fst.From(q)) {
-          sig.emplace_back(t.in_kind, t.in_item, t.out_kind, t.out_item,
-                           cls[t.to]);
-        }
-        std::sort(sig.begin(), sig.end());
-        sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-        auto key = std::make_pair(cls[q], std::move(sig));
-        auto [it, inserted] =
-            next_ids.emplace(std::move(key),
-                             static_cast<uint32_t>(next_ids.size()));
-        next[q] = it->second;
-      }
-      size_t count = next_ids.size();
-      cls = std::move(next);
-      if (count == num_classes) break;
-      num_classes = count;
-    }
+    uint32_t num_classes = 0;
+    std::vector<uint32_t> cls = CoarsestStablePartition(fst, &num_classes);
 
     // Rebuild with one state per class, renumbered from the initial class.
     std::vector<StateId> remap(num_classes, UINT32_MAX);

@@ -73,7 +73,7 @@ std::string NfaToDot(const OutputNfa& nfa, const Dictionary& dict) {
   for (StateId q = 0; q < nfa.num_states(); ++q) {
     for (const OutputNfa::Edge& e : nfa.EdgesOf(q)) {
       std::string label = "{";
-      const Sequence& items = nfa.Label(e.label);
+      ItemSpan items = nfa.Label(e.label);
       for (size_t i = 0; i < items.size(); ++i) {
         if (i > 0) label += ",";
         label += dict.Name(items[i]);

@@ -4,8 +4,9 @@
 // once: the ParallelWorkers/ParallelShards thread pool, concurrent
 // ShuffleBuffer arena writes against the process-wide live-bytes gauge,
 // MemoryBudget charge/release contention, budget-contended spill where
-// many map workers fight over one tiny budget and spill concurrently, and
-// StateGrid::Build's per-thread scratch under concurrent builds.
+// many map workers fight over one tiny budget and spill concurrently,
+// StateGrid::Build's per-thread scratch under concurrent builds, and D-CAND's
+// per-thread pivot NFAs under concurrent map bodies.
 //
 // The assertions are deliberately coarse (counters add up, gauge returns to
 // baseline, spilled results byte-identical) — the real assertions are the
@@ -24,11 +25,13 @@
 #include "src/core/grid.h"
 #include "src/dataflow/engine.h"
 #include "src/dataflow/shuffle_buffer.h"
+#include "src/dist/dcand_miner.h"
 #include "src/spill/memory_budget.h"
 #include "src/util/sync.h"
 #include "src/util/thread_pool.h"
 #include "src/fst/compiler.h"
 #include "src/util/varint.h"
+#include "tests/dcand_fixture.h"
 #include "tests/test_util.h"
 
 namespace dseq {
@@ -300,6 +303,45 @@ TEST(GridScratchStressTest, ConcurrentBuildsMatchSequentialBuilds) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+
+TEST(DCandMapStressTest, ConcurrentMapBodiesMatchSequentialOnes) {
+  // Four threads run D-CAND's map body over the N5 micro corpus at once,
+  // each through its own per-thread pivot NFAs and Renumber/serialize
+  // scratch; every sequence's emitted records must equal the sequential
+  // ones, minimized and as tries.
+  SequenceDatabase db = testing::MicroTextCorpus();
+  Fst fst = CompileFst(testing::kPatternN5, db.dict);
+  for (bool minimize : {true, false}) {
+    DCandOptions options;
+    options.sigma = 10;
+    options.minimize_nfas = minimize;
+    auto map_one = [&](const Sequence& T) {
+      std::vector<std::string> records;
+      MapDCandSequence(T, fst, db.dict, options,
+                       [&](std::string_view key, std::string_view value) {
+                         records.push_back(std::string(key) + "|" +
+                                           std::string(value));
+                       });
+      return records;
+    };
+    std::vector<std::vector<std::string>> want;
+    for (const Sequence& T : db.sequences) want.push_back(map_one(T));
+    const int rounds = StressIterations(5);
+    std::atomic<int> mismatches{0};
+    ParallelWorkers(4, [&](int w) {
+      for (int round = 0; round < rounds; ++round) {
+        for (size_t j = 0; j < db.sequences.size(); ++j) {
+          size_t s = (j + static_cast<size_t>(w) * 17) % db.sequences.size();
+          if (map_one(db.sequences[s]) != want[s]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+    EXPECT_EQ(mismatches.load(), 0) << "minimize=" << minimize;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "src/core/desq_dfs.h"
 #include "src/dict/sequence.h"
 #include "src/fst/compiler.h"
+#include "src/nfa/serializer.h"
+#include "src/util/varint.h"
+#include "tests/dcand_fixture.h"
 #include "tests/test_util.h"
 
 namespace dseq {
@@ -111,6 +120,126 @@ TEST(MineNfasTest, CandidateCountedOncePerNfa) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].pattern, (Sequence{5}));
   EXPECT_EQ(result[0].frequency, 2u);
+}
+
+// --- the map and reduce bodies -----------------------------------------------
+
+struct FixtureJob {
+  const SequenceDatabase* db;
+  std::string pattern;
+  uint64_t sigma;
+};
+
+// The micro text corpus under N4 and N5 at σ = 10, and PropertyPatterns
+// over three random databases at σ = 1: the corpora the pivot NFA bytes
+// are pinned over in nfa_test.
+template <typename Fn>
+void ForEachFixtureJob(const Fn& fn) {
+  SequenceDatabase text = testing::MicroTextCorpus();
+  for (const char* pattern : {testing::kPatternN4, testing::kPatternN5}) {
+    fn(FixtureJob{&text, pattern, 10});
+  }
+  for (int seed : {1, 2, 3}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 900, 8, 40, 8);
+    for (const std::string& pattern : testing::PropertyPatterns()) {
+      fn(FixtureJob{&db, pattern, 1});
+    }
+  }
+}
+
+// Runs the map body over every sequence on this thread, so its per-pivot
+// NFAs are reused across sequences of every size.
+std::vector<std::pair<std::string, std::string>> MapAll(
+    const FixtureJob& job, const Fst& fst, const DCandOptions& options) {
+  std::vector<std::pair<std::string, std::string>> emitted;
+  for (const Sequence& T : job.db->sequences) {
+    MapDCandSequence(T, fst, job.db->dict, options,
+                     [&](std::string_view key, std::string_view value) {
+                       emitted.emplace_back(std::string(key),
+                                            std::string(value));
+                     });
+  }
+  return emitted;
+}
+
+TEST(DCandMapTest, EmitsTheReferencePivotNfas) {
+  size_t checked = 0;
+  ForEachFixtureJob([&](const FixtureJob& job) {
+    Fst fst = CompileFst(job.pattern, job.db->dict);
+    for (bool minimize : {true, false}) {
+      DCandOptions options;
+      options.sigma = job.sigma;
+      options.minimize_nfas = minimize;
+      std::vector<std::pair<std::string, std::string>> want;
+      for (const Sequence& T : job.db->sequences) {
+        for (const testing::PivotNfa& nfa : testing::ReferencePivotNfas(
+                 T, fst, job.db->dict, job.sigma, minimize)) {
+          std::string value;
+          PutVarint(&value, 1);
+          want.emplace_back(EncodePivotKey(nfa.pivot), value + nfa.bytes);
+        }
+      }
+      EXPECT_EQ(MapAll(job, fst, options), want)
+          << job.pattern << " minimize=" << minimize;
+      checked += want.size();
+    }
+  });
+  EXPECT_GT(checked, 10'000u);
+}
+
+TEST(DCandReduceTest, PartitionMiningEqualsMineNfasOverDeserializedNfas) {
+  size_t partitions = 0;
+  ForEachFixtureJob([&](const FixtureJob& job) {
+    Fst fst = CompileFst(job.pattern, job.db->dict);
+    DCandOptions options;
+    options.sigma = job.sigma;
+    // Group the map output by pivot, re-weighting records 1, 2, 3, ... so
+    // weights above 1 reach the reduce as after shuffle aggregation.
+    std::map<ItemId, std::vector<std::string>> groups;
+    uint64_t weight = 0;
+    for (const auto& [key, value] : MapAll(job, fst, options)) {
+      std::string record;
+      PutVarint(&record, 1 + weight++ % 3);
+      record.append(value, 1, std::string::npos);  // past weight 1
+      groups[DecodePivotKey(key)].push_back(std::move(record));
+    }
+    for (uint64_t sigma : {uint64_t{1}, uint64_t{2}, job.sigma}) {
+      for (const auto& [pivot, records] : groups) {
+        std::vector<std::string_view> values(records.begin(), records.end());
+        std::vector<OutputNfa> nfas;
+        std::vector<uint64_t> weights;
+        for (std::string_view v : values) {
+          size_t pos = 0;
+          uint64_t w = 0;
+          ASSERT_TRUE(GetVarint(v, &pos, &w));
+          weights.push_back(w);
+          nfas.push_back(DeserializeNfa(v.substr(pos)));
+        }
+        EXPECT_EQ(MineDCandPartition(values, pivot, sigma),
+                  MineNfas(nfas, weights, sigma, pivot))
+            << job.pattern << " pivot " << pivot << " sigma " << sigma;
+        ++partitions;
+      }
+    }
+  });
+  EXPECT_GT(partitions, 1'000u);
+}
+
+TEST(DCandReduceTest, MalformedRecordThrowsAndArenaStaysUsable) {
+  OutputNfa nfa;
+  nfa.AddLabelString({{2}, {5}});
+  nfa.Minimize();
+  std::string good;
+  PutVarint(&good, 2);
+  good += SerializeNfa(nfa);
+  std::string truncated = good.substr(0, good.size() - 1);
+  std::vector<std::string_view> bad = {good, truncated};
+  EXPECT_THROW(MineDCandPartition(bad, 5, 1), NfaParseError);
+  std::vector<std::string_view> values = {good, good};
+  MiningResult result = MineDCandPartition(values, 5, 1);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].pattern, (Sequence{2, 5}));
+  EXPECT_EQ(result[0].frequency, 4u);
 }
 
 class DCandPropertyTest

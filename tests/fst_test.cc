@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "src/core/candidates.h"
 #include "src/core/grid.h"
+#include "src/datagen/market_baskets.h"
 #include "src/dict/sequence.h"
 #include "src/obs/trace.h"
+#include "tests/dcand_fixture.h"
+#include "tests/test_util.h"
 
 namespace dseq {
 namespace {
@@ -217,6 +223,62 @@ TEST(FstSemanticsTest, DebugStringMentionsStates) {
   std::string dump = fst.DebugString(db.dict);
   EXPECT_NE(dump.find("FST initial=q"), std::string::npos);
   EXPECT_NE(dump.find("desc(A)"), std::string::npos);
+}
+
+
+// --- compiled FSTs are pinned ------------------------------------------------
+//
+// Folds each pattern's compiled FST (DebugString) into an FNV-1a hash, so a
+// change to the compiler's state merging that alters any FST shows here.
+uint64_t HashFsts(const std::vector<std::string>& patterns,
+                  const Dictionary& dict,
+                  uint64_t hash = 1469598103934665603ULL) {
+  for (const std::string& pattern : patterns) {
+    for (char c : CompileFst(pattern, dict).DebugString(dict)) {
+      hash = (hash ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+    }
+    hash = (hash ^ 0xff) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(FstIdentityTest, TableThreePatternsArePinned) {
+  // Tab. III's NYT' and AMZN' constraints, the traditional T1-T3 forms, and
+  // long repetitions that take many refinement rounds.
+  SequenceDatabase text = testing::MicroTextCorpus();
+  const std::vector<std::string> nyt = {
+      ".* ENTITY (VERB+ NOUN+? PREP?) ENTITY .*",
+      ".* (ENTITY^ VERB+ NOUN+? PREP? ENTITY^) .*",
+      ".* (ENTITY^ be^=) DET? (ADV? ADJ? NOUN) .*",
+      testing::kPatternN4,
+      testing::kPatternN5,
+      ".*(.)[.*(.)]{0,4}.*",
+      ".*(.)[.{0,2}(.)]{1,4}.*",
+      ".*(.^)[.{0,1}(.^)]{1,4}.*",
+      "NOUN{1000}",
+      "[.{0,150}]{0,6}",
+      "[NOUN{25}]{30}",
+  };
+  MarketBasketOptions basket_options;
+  basket_options.num_customers = 200;
+  SequenceDatabase baskets = GenerateMarketBaskets(basket_options);
+  const std::vector<std::string> amzn = {
+      ".*(Electr^)[.{0,2}(Electr^)]{1,4}.*",
+      ".*(Book)[.{0,2}(Book)]{1,4}.*",
+      ".*DigitalCamera[.{0,3}(.^)]{1,4}.*",
+      ".*(MusicInstr^)[.{0,2}(MusicInstr^)]{1,4}.*",
+  };
+  EXPECT_EQ(HashFsts(amzn, baskets.dict, HashFsts(nyt, text.dict)),
+            0x9069c51db10f6b08ULL);
+}
+
+TEST(FstIdentityTest, PropertyPatternsArePinned) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (int seed : {1, 2, 3}) {
+    SequenceDatabase db = testing::RandomDatabase(seed + 900, 8, 40, 8);
+    hash = HashFsts(testing::PropertyPatterns(), db.dict, hash);
+  }
+  EXPECT_EQ(hash, 0xda43e19715202520ULL);
 }
 
 }  // namespace
